@@ -50,6 +50,7 @@ from benchmarks.conftest import write_result
 from repro.analysis.tables import render_table
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
+from repro.sim.engine import STREAM_CHUNK
 from repro.workload.azure import ClusterTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 
@@ -182,7 +183,7 @@ def run_curve(args: argparse.Namespace) -> dict:
             "node_memory_mb": NODE_MEMORY_MB,
             "content_scale": CONTENT_SCALE,
             "streamed_arrivals": True,
-            "arrival_chunk": ClusterConfig().arrival_chunk,
+            "arrival_chunk": STREAM_CHUNK,
             "seed": args.seed,
         },
         "points": points,

@@ -17,12 +17,12 @@ The same controller runs the baselines: their policies simply never ask
 for deduplication (``idle_period_ms`` is None) and may request
 pre-warmed spawns (the adaptive policy).
 
-Scheduling state is **indexed** by default
-(``ClusterConfig.indexed_control_plane``): candidate sets, population
-counters and the placement order are maintained incrementally (see
+Scheduling state is **indexed**: candidate sets, population counters
+and the placement order are maintained incrementally (see
 :mod:`repro.controller.index`), so per-request control-plane work is
-independent of the sandbox population.  The original scan paths are
-preserved behind the flag and pinned to bit-identical behaviour by
+independent of the sandbox population.  A test-only scan reference
+(``tests/platform/_reference.py``) recomputes the same facts from the
+sandbox population and is pinned to bit-identical behaviour by
 ``tests/platform/test_control_plane_equivalence.py``.
 """
 
@@ -142,7 +142,6 @@ class ClusterController:
         self._pending_dedups: dict[int, tuple[Timer, object]] = {}
         self._instance_counter = 0
         self._draining = False
-        self.indexed = config.indexed_control_plane
         self.tiering = config.checkpoint_tiering
         self.tiered_store: TieredCheckpointStore | None = (
             store if isinstance(store, TieredCheckpointStore) else None
@@ -161,9 +160,8 @@ class ClusterController:
         (template sharing only; built lazily on first spill)."""
         self._index = SandboxIndex()
         self._usage = NodeUsageIndex(nodes)
-        if self.indexed:
-            for node in nodes:
-                node.on_used_changed = self._usage.update
+        for node in nodes:
+            node.on_used_changed = self._usage.update
         # Coalesced starvation machinery: the pending desperation
         # deadlines of queued requests (monotone, hence a deque) with a
         # single armed timer for the earliest — instead of one heap
@@ -238,22 +236,7 @@ class ClusterController:
 
     def live_counts(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per-function (serving-capable count, dedup count)."""
-        if self.indexed:
-            return dict(self._index.live_count), dict(self._index.dedup_count)
-        live: dict[str, int] = {}
-        dedup: dict[str, int] = {}
-        live_states = {
-            SandboxState.WARM,
-            SandboxState.RUNNING,
-            SandboxState.DEDUPING,
-            SandboxState.DEDUP,
-            SandboxState.RESTORING,
-        }
-        dedup_states = {SandboxState.DEDUPING, SandboxState.DEDUP}
-        for function, sandboxes in self._by_function.items():
-            live[function] = sum(1 for s in sandboxes.values() if s.state in live_states)
-            dedup[function] = sum(1 for s in sandboxes.values() if s.state in dedup_states)
-        return live, dedup
+        return dict(self._index.live_count), dict(self._index.dedup_count)
 
     def build_view(self) -> ClusterView:
         live, dedup = self.live_counts()
@@ -287,18 +270,8 @@ class ClusterController:
 
     def sandbox_census(self) -> tuple[int, int, int]:
         """(warm-ish, dedup, total) sandbox counts for memory sampling."""
-        if self.indexed:
-            index = self._index
-            return index.warm_census, index.dedup_census, index.total
-        warm = dedup = total = 0
-        for sandboxes in self._by_function.values():
-            for sandbox in sandboxes.values():
-                total += 1
-                if sandbox.state in (SandboxState.WARM, SandboxState.RUNNING):
-                    warm += 1
-                elif sandbox.state in (SandboxState.DEDUP, SandboxState.DEDUPING):
-                    dedup += 1
-        return warm, dedup, total
+        index = self._index
+        return index.warm_census, index.dedup_census, index.total
 
     # ----------------------------------------------------------- dispatch
 
@@ -309,14 +282,15 @@ class ClusterController:
         self.policy.on_arrival(request.function, self.sim.now)
         if request.function in self.stats:
             self.stats[request.function].record_arrival(self.sim.now)
+        self._dispatch_or_queue(request, record)
+
+    def _dispatch_or_queue(self, request: Request, record: RequestRecord) -> None:
+        """Dispatch ``request`` now, or queue it with a starvation deadline."""
         if not self._try_dispatch(request, record):
             self._queue.append((request, record))
             # Give the starvation path (last-resort base eviction) a
             # chance even if no other event frees memory meanwhile.
-            if self.indexed:
-                self._note_starvation_deadline(self.sim.now + STARVATION_MS + 1.0)
-            else:
-                self.sim.after(STARVATION_MS + 1.0, self._drain_queue)
+            self._note_starvation_deadline(self.sim.now + STARVATION_MS + 1.0)
 
     def _note_starvation_deadline(self, deadline: float) -> None:
         """Record a queued request's desperation deadline.
@@ -346,34 +320,16 @@ class ClusterController:
     def _dispatch_candidates(
         self, function: str
     ) -> tuple[list[Sandbox], list[Sandbox], list[Sandbox]]:
-        """(idle-warm, restorable-dedup, abortable-deduping) candidates.
-
-        The indexed path reads the maintained candidate sets; the scan
-        path filters the whole per-function population.  Both return
-        the same membership, and callers apply the same orderings, so
-        dispatch decisions are identical.
-        """
-        if self.indexed:
-            warm = list(self._index.idle_warm.get(function, {}).values())
-            restorable = list(self._index.restorable.get(function, {}).values())
-            abortable = (
-                list(self._index.abortable.get(function, {}).values())
-                if self.config.enable_dedup_abort
-                else []
-            )
-            return warm, restorable, abortable
-        sandboxes = self._function_sandboxes(function)
-        warm = [s for s in sandboxes.values() if s.idle_warm]
-        restorable = [
-            s
-            for s in sandboxes.values()
-            if s.state is SandboxState.DEDUP and s.busy_request_id is None
-        ]
-        abortable = [
-            s
-            for s in sandboxes.values()
-            if s.state is SandboxState.DEDUPING and s.busy_request_id is None
-        ] if self.config.enable_dedup_abort else []
+        """(idle-warm, restorable-dedup, abortable-deduping) candidates,
+        read from the maintained candidate sets; callers impose the
+        orderings, so the sets' iteration order never matters."""
+        warm = list(self._index.idle_warm.get(function, {}).values())
+        restorable = list(self._index.restorable.get(function, {}).values())
+        abortable = (
+            list(self._index.abortable.get(function, {}).values())
+            if self.config.enable_dedup_abort
+            else []
+        )
         return warm, restorable, abortable
 
     def _try_dispatch(
@@ -688,11 +644,10 @@ class ClusterController:
             domain=self._function_domain.get(profile.name, ""),
         )
         node.admit(sandbox)
-        if self.indexed:
-            # After the node's accounting observer, so index reads see
-            # up-to-date memory charges.
-            sandbox.observers.append(self._index.on_transition)
-            self._index.on_spawn(sandbox)
+        # After the node's accounting observer, so index reads see
+        # up-to-date memory charges.
+        sandbox.observers.append(self._index.on_transition)
+        self._index.on_spawn(sandbox)
         self._function_sandboxes(profile.name)[sandbox.sandbox_id] = sandbox
         self.metrics.sandboxes_created += 1
         return sandbox
@@ -781,17 +736,10 @@ class ClusterController:
         return self._try_place(needed_bytes, include_bases=True)
 
     def _try_place(self, needed_bytes: int, *, include_bases: bool) -> Node | None:
-        # Both paths fix the candidate order at entry (evictions below
-        # do not re-rank it): the scan path by sorting a fresh list, the
-        # indexed path by snapshotting the maintained order.
+        # The candidate order is fixed at entry (evictions below do not
+        # re-rank it): a snapshot of the maintained placement order.
         down = self._faults.health.down_nodes if self._faults is not None else frozenset()
-        if self.indexed:
-            candidates = self._usage.snapshot(exclude=down)
-        else:
-            candidates = sorted(
-                (n for n in self.nodes if n.node_id not in down),
-                key=lambda n: (n.used_bytes(), n.node_id),
-            )
+        candidates = self._usage.snapshot(exclude=down)
         for node in candidates:
             if node.fits(needed_bytes):
                 return node
@@ -1357,17 +1305,15 @@ class ClusterController:
         )
         self.metrics.base_ops.append(record)
         sandbox.busy_request_id = _BASE_OP_BUSY
-        if self.indexed:
-            # The busy flag changed without a state transition, so no
-            # observer fired; update candidate membership by hand.
-            self._index.refresh(sandbox)
+        # The busy flag changed without a state transition, so no
+        # observer fired; update candidate membership by hand.
+        self._index.refresh(sandbox)
 
         def finish_base_op() -> None:
             if sandbox.busy_request_id != _BASE_OP_BUSY:
                 return  # purged (or otherwise reclaimed) mid-demarcation
             sandbox.busy_request_id = None
-            if self.indexed:
-                self._index.refresh(sandbox)
+            self._index.refresh(sandbox)
             if sandbox.state is SandboxState.WARM:
                 self._arm_idle_timers(sandbox)
 
@@ -1744,12 +1690,7 @@ class ClusterController:
             self._crashed_node = None
         for request, record in displaced:
             self.metrics.requests_rescheduled += 1
-            if not self._try_dispatch(request, record):
-                self._queue.append((request, record))
-                if self.indexed:
-                    self._note_starvation_deadline(self.sim.now + STARVATION_MS + 1.0)
-                else:
-                    self.sim.after(STARVATION_MS + 1.0, self._drain_queue)
+            self._dispatch_or_queue(request, record)
         self._drain_queue()
 
     def _reconcile_dead_bases(self, dead: dict[int, BaseCheckpoint]) -> None:

@@ -21,9 +21,10 @@ work independent of S:
   cold start.
 
 Both indexes mirror the scan results *exactly* (same membership, same
-orderings, same tie-breaks); the equivalence tests in
-``tests/platform/test_control_plane_equivalence.py`` pin indexed runs
-to bit-identical ``RunReport`` metrics against the scan paths.
+orderings, same tie-breaks).  The scan paths survive only as a test
+reference (``tests/platform/_reference.py``), against which
+``tests/platform/test_control_plane_equivalence.py`` pins indexed runs
+to bit-identical ``RunReport`` metrics.
 """
 
 from __future__ import annotations

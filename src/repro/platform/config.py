@@ -83,27 +83,9 @@ class ClusterConfig:
     memory_sample_interval_ms: float = 10_000.0
     verify_restores: bool = False
     """Verify every restored image checksum (slow; tests enable it)."""
-    indexed_control_plane: bool = True
-    """Serve scheduling state from incrementally maintained indexes
-    (O(1) per request) instead of rescanning sandboxes and re-summing
-    node memory.  Off reproduces the pre-index scan paths exactly —
-    kept for the e2e throughput benchmark and the equivalence tests
-    that pin both modes to bit-identical RunReports."""
     verify_accounting: bool = False
     """Debug: assert every node's cached used-bytes counter against the
     recomputed per-resident sum on every read (slow; tests enable it)."""
-    streamed_arrivals: bool = True
-    """Inject trace arrivals chunk by chunk through
-    :meth:`~repro.sim.engine.Simulator.schedule_stream` instead of
-    pre-scheduling every request as its own heap entry before the run
-    starts, keeping resident arrival state O(chunk) instead of O(trace).
-    Bit-identical to eager pre-scheduling (the stream reserves the whole
-    trace's event sequence numbers up front); off reproduces the
-    pre-change eager path, kept for the streaming equivalence tests."""
-    arrival_chunk: int = 4096
-    """Resident window of streamed arrival injection: how many upcoming
-    trace arrivals are scheduled on the event heap at once (only read
-    when ``streamed_arrivals`` is on)."""
     checkpoint_tiering: bool = False
     """Tiered checkpoint storage (DESIGN.md §9): under pressure, demote
     base checkpoints to remote DRAM / local SSD and park expired dedup
@@ -163,8 +145,12 @@ class ClusterConfig:
             raise ValueError("base_threshold must be positive")
         if self.registry_shards <= 0:
             raise ValueError("registry_shards must be positive")
-        if self.arrival_chunk <= 0:
-            raise ValueError("arrival_chunk must be positive")
+        if not 0 <= self.base_savings_threshold <= 1:
+            raise ValueError("base_savings_threshold must be in [0, 1]")
+        if self.eviction_scan_cap < 0:
+            raise ValueError("eviction_scan_cap must be non-negative")
+        if self.memory_sample_interval_ms <= 0:
+            raise ValueError("memory_sample_interval_ms must be positive")
 
     @property
     def node_capacity_bytes(self) -> int:

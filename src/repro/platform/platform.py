@@ -140,7 +140,6 @@ class Platform:
             Node(
                 node_id=i,
                 capacity_bytes=config.node_capacity_bytes,
-                cached_accounting=config.indexed_control_plane,
                 verify_accounting=config.verify_accounting,
             )
             for i in range(config.nodes)
@@ -258,26 +257,18 @@ class Platform:
             )
 
     def _inject_arrivals(self, trace: Trace) -> None:
-        """Schedule the trace's arrivals on the simulator.
+        """Stream the trace's arrivals onto the simulator.
 
-        Streamed mode (the default) keeps only ``config.arrival_chunk``
-        upcoming arrivals on the heap via ``Simulator.schedule_stream``;
-        the eager mode pre-schedules every request up front and is kept
-        as the reference the streaming equivalence tests pin against.
+        ``Simulator.schedule_stream`` keeps only ``STREAM_CHUNK`` upcoming
+        arrivals on the heap while replaying them bit-identically to
+        pre-scheduling every request up front.
         """
         requests = trace.requests
-        if self.config.streamed_arrivals:
-            submit = self.controller.submit
-            self.sim.schedule_stream(
-                [request.arrival_ms for request in requests],
-                lambda i: lambda request=requests[i]: submit(request),
-                chunk_size=self.config.arrival_chunk,
-            )
-        else:
-            for request in requests:
-                self.sim.at(
-                    request.arrival_ms, lambda r=request: self.controller.submit(r)
-                )
+        submit = self.controller.submit
+        self.sim.schedule_stream(
+            [request.arrival_ms for request in requests],
+            lambda i: lambda request=requests[i]: submit(request),
+        )
 
     def run(self, trace: Trace, *, tail_ms: float = RUN_TAIL_MS) -> RunReport:
         """Replay ``trace`` to completion and collect metrics.

@@ -14,9 +14,7 @@ sandbox's footprint (warm↔dedup↔restoring).  ``used_bytes``, ``fits``
 and ``free_bytes`` are therefore O(1) instead of O(residents).  The
 recomputed sum survives as :meth:`recomputed_used_bytes`, asserted
 against the counter on every read when ``verify_accounting`` is set
-(tests enable it) and used directly when ``cached_accounting`` is off
-(the pre-index behaviour, kept for the throughput benchmark and the
-equivalence tests).
+(tests enable it).
 """
 
 from __future__ import annotations
@@ -94,10 +92,6 @@ class Node:
     capacity_bytes: int
     sandboxes: dict[int, Sandbox] = field(default_factory=dict)
     checkpoints: dict[int, BaseCheckpoint] = field(default_factory=dict)
-    cached_accounting: bool = True
-    """Serve ``used_bytes`` from the incremental counter (O(1)).  Off
-    recomputes the per-resident sum on every call — the pre-index cost
-    model, kept selectable for the e2e throughput benchmark."""
     verify_accounting: bool = False
     """Debug: assert counter == recomputed sum on every read."""
     on_used_changed: Callable[["Node"], None] | None = field(
@@ -123,9 +117,7 @@ class Node:
                     f"node {self.node_id}: cached used={self._used} != "
                     f"recomputed {recomputed}"
                 )
-        if self.cached_accounting:
-            return self._used
-        return self.recomputed_used_bytes()
+        return self._used
 
     def recomputed_used_bytes(self) -> int:
         """The O(residents) sum the counter must always agree with."""

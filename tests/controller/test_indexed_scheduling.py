@@ -17,6 +17,7 @@ from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Request, Trace
+from tests.platform._reference import ScanSandboxIndex, use_scan_control_plane
 
 SCALE = 1.0 / 256.0
 
@@ -128,14 +129,11 @@ class TestCoalescedStarvationTimer:
         # One node that fits a single big sandbox: a burst of arrivals
         # all queue behind it.
         platform = build(
-            config_overrides=dict(
-                nodes=1,
-                node_memory_mb=100.0,
-                indexed_control_plane=indexed,
-                seed=5,
-            ),
+            config_overrides=dict(nodes=1, node_memory_mb=100.0, seed=5),
             functions=("RNNModel",),
         )
+        if not indexed:
+            use_scan_control_plane(platform)
         trace = Trace.from_arrivals([(float(i), "RNNModel") for i in range(20)])
         return platform, trace
 
@@ -165,9 +163,9 @@ class TestCoalescedStarvationTimer:
             lambda: legacy_probe.update(pending=legacy_platform.sim.pending_events),
         )
         legacy_platform.run(legacy_trace)
-        # The legacy path had one retry event per queued request on the
-        # heap at the same instant; the coalesced timer removes all but
-        # one of them.
+        # The per-request-retry reference has one retry event per queued
+        # request on the heap at the same instant; the coalesced timer
+        # removes all but one of them.
         assert probes["pending_events"] <= legacy_probe["pending"] - (
             probes["queued"] - 1
         )
@@ -190,9 +188,11 @@ class TestIndexInvariants:
     def test_candidate_sets_match_scan(self):
         platform = self._run()
         controller = platform.controller
-        for function, sandboxes in controller._by_function.items():
-            expected = {s.sandbox_id for s in sandboxes.values() if s.idle_warm}
-            assert set(controller._index.idle_warm.get(function, {})) == expected
+        index, scan = controller._index, ScanSandboxIndex(controller)
+        for name in ("idle_warm", "restorable", "abortable"):
+            for function in controller._by_function:
+                expected = set(getattr(scan, name)[function])
+                assert set(getattr(index, name).get(function, {})) == expected
 
     def test_node_order_matches_sorted_scan(self):
         platform = self._run()
@@ -205,9 +205,19 @@ class TestIndexInvariants:
     def test_census_matches_scan(self):
         platform = self._run()
         controller = platform.controller
-        index = controller._index
-        scan_total = sum(len(s) for s in controller._by_function.values())
-        assert index.total == scan_total
+        scan = ScanSandboxIndex(controller)
+
+        def nonzero(counts):
+            # The index keeps a key once a function was ever counted;
+            # the scan has one for every function with a population.
+            return {function: n for function, n in counts.items() if n}
+
         live, dedup = controller.live_counts()
-        assert all(v >= 0 for v in live.values())
-        assert all(v >= 0 for v in dedup.values())
+        assert nonzero(live) == nonzero(scan.live_count) != {}
+        assert nonzero(dedup) == nonzero(scan.dedup_count)
+        assert controller.sandbox_census() == (
+            scan.warm_census,
+            scan.dedup_census,
+            scan.total,
+        )
+        assert scan.total > 0

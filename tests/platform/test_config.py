@@ -26,11 +26,21 @@ class TestValidation:
             {"content_scale": 0.0},
             {"content_scale": 1.5},
             {"base_threshold": 0},
+            {"eviction_scan_cap": -1},
+            {"memory_sample_interval_ms": 0.0},
+            {"memory_sample_interval_ms": -10.0},
+            {"base_savings_threshold": -0.1},
+            {"base_savings_threshold": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ClusterConfig(**kwargs)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_savings_threshold_endpoints_valid(self, threshold):
+        config = ClusterConfig(base_savings_threshold=threshold)
+        assert config.base_savings_threshold == threshold
 
 
 class TestCapacities:

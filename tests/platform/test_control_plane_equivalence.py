@@ -1,17 +1,17 @@
 """Indexed vs scan control plane: bit-identical run behaviour.
 
-The indexed control plane (``ClusterConfig.indexed_control_plane``) must
-be a pure performance change: candidate sets, counters and placement
-order mirror the original scan paths exactly, so every platform run
-produces the *same* ``RunMetrics`` — same start types, same latencies,
-same evictions, same memory timeline — in both modes.  These tests pin
-that, across all three platforms and across workloads that exercise the
-tricky paths (dedup churn, memory pressure, starvation eviction, the
-eviction-order ablations).
+The indexed control plane must be a pure performance change: candidate
+sets, counters and placement order mirror a scan of the sandbox
+population exactly, so every platform run produces the *same*
+``RunMetrics`` — same start types, same latencies, same evictions, same
+memory timeline — as the test-only scan reference swapped in by
+:func:`tests.platform._reference.use_scan_control_plane`.  These tests
+pin that, across all three platforms and across workloads that exercise
+the tricky paths (dedup churn, memory pressure, starvation eviction, the
+eviction-order ablations, and every opt-in layer at once).
 
-``verify_accounting`` is switched on for the indexed runs, so every
-``used_bytes`` read also asserts the incremental counter against the
-recomputed per-resident sum.
+``verify_accounting`` is switched on, so every ``used_bytes`` read also
+asserts the incremental counter against the recomputed per-resident sum.
 """
 
 from __future__ import annotations
@@ -24,12 +24,15 @@ import pytest
 import repro.sandbox.checkpoint as checkpoint_module
 import repro.sandbox.sandbox as sandbox_module
 from repro.core.policy import MedesPolicyConfig
+from repro.faults.schedule import FaultSchedule, FaultsConfig, NodeCrash, ShardOutage
 from repro.platform.config import ClusterConfig
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.node import EvictionOrder
+from repro.tenancy.domains import DedupDomainMode, TenantConfig
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.platform._reference import use_scan_control_plane
 
 SCALE = 1.0 / 256.0
 
@@ -37,22 +40,18 @@ MEDES = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 
 
 def run_both_modes(kind, config, suite, trace, **build_kwargs):
-    """Run one platform in scan mode and indexed mode on ``trace``."""
+    """Run one platform on the scan reference and indexed on ``trace``."""
     reports = {}
+    cfg = replace(config, verify_accounting=True)
     for indexed in (False, True):
         # Sandbox/checkpoint ids are process-global counters; reset them
         # so both runs mint identical ids and the per-op records (which
         # embed sandbox ids) compare equal.
         sandbox_module._sandbox_ids = itertools.count(1)
         checkpoint_module._checkpoint_ids = itertools.count(1)
-        cfg = replace(
-            config,
-            indexed_control_plane=indexed,
-            # The cached counter only exists on the indexed path; verify
-            # it there on every read.
-            verify_accounting=indexed,
-        )
         platform = build_platform(kind, cfg, suite, **build_kwargs)
+        if not indexed:
+            use_scan_control_plane(platform)
         reports[indexed] = platform.run(trace)
     return reports[False], reports[True]
 
@@ -157,4 +156,58 @@ class TestEvictionOrderEquivalence:
             PlatformKind.MEDES, config, suite, trace, medes=MEDES
         )
         assert scan.metrics.evictions > 0, "workload must exercise eviction"
+        assert_identical(scan, indexed)
+
+
+class TestFeatureLatticeEquivalence:
+    """Every opt-in layer at once: template parks and forks, tier
+    demotions, a sharded registry, per-tenant domains and crash purges
+    all move sandboxes between candidate sets and across nodes.  With
+    templates on the policy parks every idle sandbox as a template
+    delta, so the dedup-over-tiers rungs only run with them off."""
+
+    MINUTES = 6.0
+
+    @pytest.mark.parametrize("templates", [True, False], ids=["templates", "tiered"])
+    def test_all_layers_with_faults(self, templates):
+        suite = FunctionBenchSuite.subset(["Vanilla", "LinAlg", "FeatureGen", "RNNModel"])
+        names = suite.names()
+        trace = AzureTraceGenerator(seed=11, rate_scale=4.0).generate(
+            self.MINUTES,
+            names,
+            tenant_of={name: f"tenant-{i % 2}" for i, name in enumerate(names)},
+        )
+        span = self.MINUTES * 60_000.0
+        config = ClusterConfig(
+            nodes=2,
+            node_memory_mb=320.0,
+            content_scale=SCALE,
+            seed=7,
+            template_sharing=templates,
+            checkpoint_tiering=True,
+            parallel_data_plane=True,
+            registry_shards=2,
+            dedup_domains=TenantConfig(mode=DedupDomainMode.PER_TENANT),
+            faults=FaultsConfig(
+                schedule=FaultSchedule(
+                    node_crashes=(
+                        NodeCrash(at_ms=0.45 * span, node_id=1, restart_at_ms=0.6 * span),
+                    ),
+                    shard_outages=(
+                        ShardOutage(at_ms=0.2 * span, shard=0, heal_at_ms=0.3 * span),
+                    ),
+                ),
+            ),
+        )
+        scan, indexed = run_both_modes(
+            PlatformKind.MEDES, config, suite, trace, medes=MEDES
+        )
+        metrics = scan.metrics
+        assert metrics.crash_purged_sandboxes > 0, "the crash must purge sandboxes"
+        if templates:
+            assert metrics.evictions > 0, "workload must exercise eviction"
+            assert metrics.template_forks, "workload must fork templates"
+        else:
+            assert metrics.table_demotions > 0, "pressure must park tables on SSD"
+            assert metrics.restore_ops, "workload must restore dedup sandboxes"
         assert_identical(scan, indexed)

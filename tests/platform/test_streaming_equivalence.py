@@ -1,20 +1,19 @@
 """Streamed vs eager arrival injection: bit-identical run behaviour.
 
-Streamed arrival injection (``ClusterConfig.streamed_arrivals``) must be
-a pure memory-footprint change: :meth:`Simulator.schedule_stream`
-reserves the whole trace's event sequence numbers up front, so every
-arrival fires at exactly the (time, seq) slot eager pre-scheduling would
-have given it and every downstream event — sandbox lifecycle, policy
-timers, dedup completions — keeps its sequence number too.  These tests
-pin the two injection modes to identical ``RunMetrics`` across platform
-kinds and trace shapes, with chunk sizes small enough to force many
-mid-run refills.
+Streamed arrival injection must be a pure memory-footprint change:
+:meth:`Simulator.schedule_stream` reserves the whole trace's event
+sequence numbers up front, so every arrival fires at exactly the
+(time, seq) slot eager pre-scheduling would have given it and every
+downstream event — sandbox lifecycle, policy timers, dedup completions —
+keeps its sequence number too.  These tests pin streamed runs to the
+test-only eager reference (:mod:`tests.platform._reference`) with
+identical ``RunMetrics`` across platform kinds and trace shapes, with
+chunk sizes small enough to force many mid-run refills.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,22 +27,35 @@ from repro.platform.platform import PlatformKind, build_platform
 from repro.workload.azure import AzureTraceGenerator
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
+from tests.platform._reference import (
+    use_arrival_chunk,
+    use_eager_arrivals,
+    use_scan_control_plane,
+)
 
 SCALE = 1.0 / 256.0
 
 MEDES = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 
 
-def run_both_injections(kind, config, suite, trace, *, chunk=2, **build_kwargs):
-    """Run one platform with eager and streamed arrival injection."""
+def run_both_injections(
+    kind, config, suite, trace, *, chunk=2, scan=False, **build_kwargs
+):
+    """Run one platform with eager and streamed arrival injection
+    (optionally both on the scan control-plane reference)."""
     reports = {}
     for streamed in (False, True):
         # Sandbox/checkpoint ids are process-global counters; reset them
         # so both runs mint identical ids.
         sandbox_module._sandbox_ids = itertools.count(1)
         checkpoint_module._checkpoint_ids = itertools.count(1)
-        cfg = replace(config, streamed_arrivals=streamed, arrival_chunk=chunk)
-        platform = build_platform(kind, cfg, suite, **build_kwargs)
+        platform = build_platform(kind, config, suite, **build_kwargs)
+        if scan:
+            use_scan_control_plane(platform)
+        if streamed:
+            use_arrival_chunk(platform, chunk)
+        else:
+            use_eager_arrivals(platform)
         reports[streamed] = platform.run(trace)
     return reports[False], reports[True]
 
@@ -92,9 +104,10 @@ class TestPlatformKinds:
     def test_scan_control_plane(self, azure_workload):
         """Streaming composes with the scan control plane too."""
         suite, trace = azure_workload
-        config = replace(self.CONFIG, indexed_control_plane=False)
         assert_identical(
-            *run_both_injections(PlatformKind.MEDES, config, suite, trace, medes=MEDES)
+            *run_both_injections(
+                PlatformKind.MEDES, self.CONFIG, suite, trace, scan=True, medes=MEDES
+            )
         )
 
 
