@@ -36,12 +36,11 @@ import enum
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro._util import LruCache
-from repro.core.costs import CostModel, StageOverlap, pipelined_ms
+from repro.core.costs import CostModel, ParallelConfig, StageOverlap, pipelined_ms
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
 from repro.faults.retry import RetryExhausted, TransientFaults
@@ -72,10 +71,6 @@ from repro.templates.delta import (
     build_delta_table,
     reconstruct_image,
 )
-
-if TYPE_CHECKING:
-    from repro.parallel.config import ParallelConfig
-    from repro.parallel.plane import DataPlane
 
 #: Full-scale metadata bytes per page entry of a dedup table (base page
 #: address + patch descriptor), part of the dedup footprint.
@@ -361,8 +356,7 @@ class DedupAgent:
         anchor_index_cache_pages: int = ANCHOR_INDEX_CACHE_PAGES,
         tiering: bool = False,
         recorder: WorkingSetRecorder | None = None,
-        parallel: "ParallelConfig | None" = None,
-        overlap_costs: "ParallelConfig | None" = None,
+        overlap_costs: ParallelConfig | None = None,
         transients: TransientFaults | None = None,
         templates: TemplateCatalog | None = None,
     ):
@@ -383,13 +377,9 @@ class DedupAgent:
         self.fingerprint_config = fingerprint_config or FingerprintConfig()
         self.patch_level = patch_level
         self.unique_threshold = unique_threshold
-        self.parallel = parallel
-        """Run the data plane on the parallel engine (None = serial)."""
         self.overlap_costs = overlap_costs
         """Charge dedup/restore timings with stage-overlap accounting
-        for this parallel shape (None = serial stage sums).  Independent
-        of ``parallel``: the simulator models the overlap without
-        needing real worker processes."""
+        for this parallel shape (None = serial stage sums)."""
         self.transients = transients
         """Seeded transient-RPC failure model (fault layer; None = RPCs
         never fail transiently).  Registry lookups and remote base-page
@@ -400,7 +390,6 @@ class DedupAgent:
         self.templates = templates
         """Cluster-wide template catalog (DESIGN.md §14; None unless
         ``template_sharing`` is on)."""
-        self._plane: "DataPlane | None" = None
         self.dedup_ops = 0
         self.restore_ops = 0
         self.templatize_ops = 0
@@ -417,20 +406,6 @@ class DedupAgent:
         self.anchor_index_cache: LruCache[tuple[int, int], AnchorIndex] = LruCache(
             anchor_index_cache_pages
         )
-
-    def _data_plane(self) -> "DataPlane":
-        if self._plane is None:
-            from repro.parallel.plane import DataPlane
-
-            assert self.parallel is not None
-            self._plane = DataPlane(self, self.parallel)
-        return self._plane
-
-    def close(self) -> None:
-        """Release the parallel data plane's arena (idempotent)."""
-        if self._plane is not None:
-            self._plane.close()
-            self._plane = None
 
     # ---------------------------------------------------------------- dedup
 
@@ -463,8 +438,6 @@ class DedupAgent:
         image = sandbox.image
         if image is None:
             raise RuntimeError(f"sandbox {sandbox.sandbox_id} has no image to dedup")
-        if self.parallel is not None:
-            return self._data_plane().dedup(sandbox)
 
         page_size = image.page_size
         data = image.data
@@ -803,10 +776,7 @@ class DedupAgent:
             miss_read_ms = 0.0
             hit_pages = miss_pages = 0
 
-        if self.parallel is not None:
-            data = self._data_plane().reconstruct(table, by_checkpoint)
-        else:
-            data = self._reconstruct(table, by_checkpoint)
+        data = self._reconstruct(table, by_checkpoint)
 
         image = MemoryImage(
             function=table.function,
@@ -840,7 +810,7 @@ class DedupAgent:
     def _reconstruct(
         self, table: DedupPageTable, by_checkpoint: dict[int, list[int]]
     ) -> np.ndarray:
-        """Serial content reconstruction of ``table`` (restore op body)."""
+        """Content reconstruction of ``table`` (restore op body)."""
         page_size = table.page_size
         # Zero-initialized buffer: zero pages are already materialized.
         data = np.zeros(len(table.entries) * page_size, dtype=np.uint8)

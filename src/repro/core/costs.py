@@ -41,6 +41,30 @@ def pipelined_ms(stages: Sequence[float], batches: int) -> float:
 
 
 @dataclass(frozen=True)
+class ParallelConfig:
+    """Shape of the parallel data plane's overlap cost model (DESIGN.md §10).
+
+    With ``ClusterConfig.parallel_data_plane`` on, every dedup/restore
+    op is charged as if its pages were split into ``batch_pages``-page
+    batches whose stages software-pipeline, with the compute-bound
+    stages divided across ``workers`` (see :class:`StageOverlap`).
+    """
+
+    workers: int = 1
+    """Workers the compute-bound stages divide across."""
+
+    batch_pages: int = 512
+    """Full-scale pages per batch: the unit of pipelining and of
+    registry round-trips (one grouped lookup per batch)."""
+
+    def __post_init__(self) -> None:
+        if self.workers <= 0:
+            raise ValueError("workers must be positive")
+        if self.batch_pages <= 0:
+            raise ValueError("batch_pages must be positive")
+
+
+@dataclass(frozen=True)
 class StageOverlap:
     """How a dedup/restore op's stages overlap (parallel data plane).
 

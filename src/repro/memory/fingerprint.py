@@ -299,8 +299,8 @@ def batch_fingerprint_arrays(
     delimit them.  This is the whole dedup-op fingerprint stage as four
     array passes — marker scan, segmented thinning, one fancy-indexed
     gather into a ``(n_chunks, chunk_size)`` matrix, one batched digest
-    — and the form the parallel data plane ships across the worker
-    boundary (arrays pickle flat, no per-page tuple traffic).
+    — with no per-page tuple built until
+    :func:`fingerprints_from_arrays`.
     """
     cfg = config or FingerprintConfig()
     if cfg.digest_bits > 64:

@@ -796,27 +796,3 @@ def apply_patch(patch: Patch, base: bytes | np.ndarray) -> bytes:
     if len(out) != patch.target_len:
         raise AssertionError("patch application produced wrong length")
     return bytes(out)
-
-
-def apply_patch_into(patch: Patch, base: bytes | np.ndarray, out: np.ndarray) -> None:
-    """:func:`apply_patch`, writing the target into a caller-owned buffer.
-
-    ``out`` must be a uint8 array of exactly ``patch.target_len`` bytes —
-    typically a view into a restore op's shared-memory output region, so
-    worker processes reconstruct pages in place with no intermediate
-    ``bytes`` object crossing the process boundary.
-    """
-    b = _as_array(base)
-    if len(b) != patch.base_len:
-        raise ValueError(f"base length {len(b)} != patch base_len {patch.base_len}")
-    if len(out) != patch.target_len:
-        raise ValueError(f"out length {len(out)} != patch target_len {patch.target_len}")
-    cursor = 0
-    for op in patch.ops:
-        if isinstance(op, CopyOp):
-            if op.src_off + op.length > len(b):
-                raise ValueError("COPY op out of base bounds")
-            out[cursor : cursor + op.length] = b[op.src_off : op.src_off + op.length]
-        else:
-            out[cursor : cursor + op.length] = np.frombuffer(op.data, dtype=np.uint8)
-        cursor += op.length

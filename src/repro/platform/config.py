@@ -6,10 +6,9 @@ import enum
 from dataclasses import dataclass, field
 
 from repro._util import MIB, PAGE_SIZE
-from repro.core.costs import CostModel
-from repro.faults.schedule import FaultsConfig
+from repro.core.costs import CostModel, ParallelConfig
+from repro.faults.schedule import FaultsConfig, FaultSchedule
 from repro.memory.fingerprint import FingerprintConfig
-from repro.parallel.config import ParallelConfig
 from repro.sandbox.node import EvictionOrder
 from repro.sim.network import RdmaConfig
 from repro.storage.tiers import StorageConfig
@@ -103,7 +102,7 @@ class ClusterConfig:
     Off (the default) reproduces the serial stage-sum accounting
     bit-identically."""
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    """Shape of the parallel data plane (only read when
+    """Shape of the overlap cost model (only read when
     ``parallel_data_plane`` is on)."""
     template_sharing: bool = False
     """Forkable template checkpoints (DESIGN.md §14): factor shared
@@ -151,6 +150,27 @@ class ClusterConfig:
             raise ValueError("eviction_scan_cap must be non-negative")
         if self.memory_sample_interval_ms <= 0:
             raise ValueError("memory_sample_interval_ms must be positive")
+        if self.faults is not None:
+            self._check_fault_targets(self.faults.schedule)
+
+    def _check_fault_targets(self, schedule: FaultSchedule) -> None:
+        """Reject faults aimed at a node, peer or shard the cluster lacks."""
+        for crash in schedule.node_crashes:
+            if crash.node_id >= self.nodes:
+                raise ValueError(
+                    f"crash of node {crash.node_id} on a {self.nodes}-node cluster"
+                )
+        for link in (*schedule.link_degradations, *schedule.link_partitions):
+            if not 0 <= link.peer < self.nodes:
+                raise ValueError(
+                    f"link fault on peer {link.peer} of a {self.nodes}-node cluster"
+                )
+        for outage in schedule.shard_outages:
+            if outage.shard >= self.registry_shards:
+                raise ValueError(
+                    f"outage of shard {outage.shard} on a registry of "
+                    f"{self.registry_shards} shard(s)"
+                )
 
     @property
     def node_capacity_bytes(self) -> int:

@@ -5,12 +5,18 @@ from __future__ import annotations
 import pytest
 
 from repro.core.agent import DedupAgent, PageKind
-from repro.core.costs import CostModel
+from repro.core.costs import CostModel, ParallelConfig
+from repro.core.policy import MedesPolicyConfig
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.memory.fingerprint import FingerprintConfig, page_fingerprint
+from repro.platform.config import ClusterConfig
+from repro.platform.metrics import StartType
+from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.checkpoint import BaseCheckpoint, CheckpointStore
 from repro.sandbox.sandbox import Sandbox
 from repro.sim.network import RdmaFabric
+from repro.workload.azure import AzureTraceGenerator
+from repro.workload.functionbench import FunctionBenchSuite
 from tests.conftest import TEST_SCALE
 
 
@@ -44,9 +50,11 @@ def harness(linalg_profile):
     return agent, store, registry, checkpoint
 
 
-def make_sandbox(profile, seed=200) -> Sandbox:
+def make_sandbox(profile, seed=200, aslr=False) -> Sandbox:
     sandbox = Sandbox(profile=profile, node_id=0, instance_seed=seed, created_at=0.0)
-    sandbox.image = profile.synthesize(seed, content_scale=TEST_SCALE, executed=True)
+    sandbox.image = profile.synthesize(
+        seed, content_scale=TEST_SCALE, aslr=aslr, executed=True
+    )
     return sandbox
 
 
@@ -218,3 +226,87 @@ class TestPageEntry:
                 assert entry.retained_bytes() == 4096
             else:
                 assert 0 < entry.retained_bytes() < 4096 * 0.75
+
+
+class TestBasePageCache:
+    def test_warm_restore_hits_base_page_cache(self, harness, linalg_profile):
+        agent, *_ = harness
+        outcome = agent.dedup(make_sandbox(linalg_profile, seed=700))
+        assert outcome.table.stats.patched_pages > 0
+        misses_after_dedup = agent.base_page_cache.misses
+        assert misses_after_dedup > 0, "dedup populates the cache via misses"
+        hits_after_dedup = agent.base_page_cache.hits
+
+        agent.restore(outcome.table, verify=True)
+        assert agent.base_page_cache.hits > hits_after_dedup, (
+            "a warm restore re-reads the base pages the dedup op just cached"
+        )
+        assert agent.base_page_cache.misses == misses_after_dedup
+
+    def test_run_metrics_surface_cache_counters(self):
+        suite = FunctionBenchSuite.replicated(["Vanilla", "LinAlg"], 2)
+        trace = AzureTraceGenerator(seed=21).generate(8, suite.names())
+        config = ClusterConfig(
+            nodes=2,
+            node_memory_mb=256.0,
+            content_scale=TEST_SCALE,
+            seed=3,
+            verify_restores=True,
+        )
+        platform = build_platform(
+            PlatformKind.MEDES,
+            config,
+            suite,
+            medes=MedesPolicyConfig(alpha=25.0, idle_period_ms=10_000.0),
+        )
+        metrics = platform.run(trace).metrics
+        if not metrics.dedup_ops:
+            pytest.skip("trace produced no dedup ops")
+        assert metrics.base_page_cache_misses > 0
+        agents = platform.agents.values()
+        assert metrics.base_page_cache_misses == sum(
+            a.base_page_cache.misses for a in agents
+        )
+        assert metrics.base_page_cache_hits == sum(a.base_page_cache.hits for a in agents)
+        if metrics.start_counts()[StartType.DEDUP]:
+            assert metrics.base_page_cache_hits > 0, (
+                "dedup starts replay base pages the dedup op already decoded"
+            )
+
+
+class TestOverlapCosts:
+    """``overlap_costs`` changes only the charged times, never the content."""
+
+    @pytest.mark.parametrize("aslr", [False, True])
+    def test_overlap_lowers_op_times_and_keeps_tables(
+        self, harness, linalg_profile, aslr
+    ):
+        serial, store, registry, _ = harness
+        overlapped = DedupAgent(
+            0,
+            registry=registry,
+            store=store,
+            fabric=RdmaFabric(),
+            costs=CostModel(),
+            content_scale=TEST_SCALE,
+            overlap_costs=ParallelConfig(workers=4, batch_pages=64),
+        )
+        plain = serial.dedup(make_sandbox(linalg_profile, seed=310, aslr=aslr))
+        piped = overlapped.dedup(make_sandbox(linalg_profile, seed=310, aslr=aslr))
+        assert piped.table.entries == plain.table.entries
+        assert piped.table.stats == plain.table.stats
+        assert piped.table.base_refs == plain.table.base_refs
+        assert plain.timings.overlap is None
+        assert piped.timings.overlap is not None and piped.timings.overlap.batches > 1
+        assert piped.timings.checkpoint_ms == plain.timings.checkpoint_ms
+        assert (
+            piped.timings.total_ms - piped.timings.checkpoint_ms
+            < plain.timings.total_ms - plain.timings.checkpoint_ms
+        )
+
+        plain_restore = serial.restore(plain.table, verify=True)
+        piped_restore = overlapped.restore(piped.table, verify=True)
+        assert (
+            piped_restore.image.data.tobytes() == plain_restore.image.data.tobytes()
+        )
+        assert piped_restore.timings.total_ms < plain_restore.timings.total_ms

@@ -5,12 +5,29 @@ from __future__ import annotations
 import pytest
 
 from repro._util import MIB
+from repro.faults.schedule import (
+    FaultsConfig,
+    FaultSchedule,
+    LinkDegradation,
+    LinkPartition,
+    NodeCrash,
+    ShardOutage,
+)
 from repro.platform.config import (
     CATALYZER_FIXED_MS,
     CATALYZER_MS_PER_MB,
     ClusterConfig,
     ColdStartMode,
 )
+
+
+def _faulted(**schedule) -> dict:
+    """ClusterConfig kwargs for a 2-node, 1-shard cluster with ``schedule``."""
+    return {
+        "nodes": 2,
+        "registry_shards": 1,
+        "faults": FaultsConfig(schedule=FaultSchedule(**schedule)),
+    }
 
 
 class TestValidation:
@@ -31,11 +48,45 @@ class TestValidation:
             {"memory_sample_interval_ms": -10.0},
             {"base_savings_threshold": -0.1},
             {"base_savings_threshold": 1.5},
+            # Fault targets outside a 2-node, 1-shard cluster.
+            _faulted(node_crashes=(NodeCrash(at_ms=10.0, node_id=2),)),
+            _faulted(node_crashes=(NodeCrash(at_ms=10.0, node_id=7),)),
+            _faulted(
+                link_degradations=(
+                    LinkDegradation(at_ms=10.0, peer=2, heal_at_ms=20.0),
+                )
+            ),
+            _faulted(
+                link_degradations=(
+                    LinkDegradation(at_ms=10.0, peer=-1, heal_at_ms=20.0),
+                )
+            ),
+            _faulted(
+                link_partitions=(LinkPartition(at_ms=10.0, peer=2, heal_at_ms=20.0),)
+            ),
+            _faulted(
+                link_partitions=(LinkPartition(at_ms=10.0, peer=-1, heal_at_ms=20.0),)
+            ),
+            _faulted(
+                shard_outages=(ShardOutage(at_ms=10.0, shard=1, heal_at_ms=20.0),)
+            ),
+            _faulted(
+                shard_outages=(ShardOutage(at_ms=10.0, shard=3, heal_at_ms=20.0),)
+            ),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ClusterConfig(**kwargs)
+
+    def test_accepts_fault_targets_inside_the_cluster(self):
+        kwargs = _faulted(
+            node_crashes=(NodeCrash(at_ms=10.0, node_id=1),),
+            link_degradations=(LinkDegradation(at_ms=10.0, peer=0, heal_at_ms=20.0),),
+            link_partitions=(LinkPartition(at_ms=30.0, peer=1, heal_at_ms=40.0),),
+            shard_outages=(ShardOutage(at_ms=10.0, shard=0, heal_at_ms=20.0),),
+        )
+        assert ClusterConfig(**kwargs).faults == kwargs["faults"]
 
     @pytest.mark.parametrize("threshold", [0.0, 1.0])
     def test_savings_threshold_endpoints_valid(self, threshold):
