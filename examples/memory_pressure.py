@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis.experiments import full_workload
+from repro.analysis.experiments import FIG10_POOL_MB, full_workload
 from repro.analysis.tables import render_table
 from repro.platform.comparison import run_comparison
 from repro.platform.config import ClusterConfig
@@ -23,7 +23,7 @@ from repro.platform.config import ClusterConfig
 def main() -> None:
     fast = "--fast" in sys.argv
     duration = 8.0 if fast else 20.0
-    pools_mb = (3072.0, 1792.0) if fast else (3072.0, 2304.0, 1792.0)
+    pools_mb = (3072.0, 1792.0) if fast else FIG10_POOL_MB
 
     suite, trace = full_workload(duration_min=duration)
     print(f"Workload: {len(trace)} requests, {len(suite)} functions\n")

@@ -39,6 +39,8 @@ FULL_SEED = 11
 #: 2 GB/node limit (Section 7.2).
 FULL_NODES = 2
 FULL_NODE_MB = 1024.0
+#: The Figure-10 ladder: the paper's 40/30/20 GB cluster pools, scaled.
+FIG10_POOL_MB = (3072.0, 2304.0, 1792.0)
 
 #: Representative 3-function workload (Sections 7.5-7.8).
 REP_DURATION_MIN = 15.0
@@ -331,7 +333,7 @@ def run_pressure(
     *,
     duration_min: float = FULL_DURATION_MIN,
     seed: int = FULL_SEED,
-    pool_mb: tuple[float, ...] = (3072.0, 2304.0, 1792.0),
+    pool_mb: tuple[float, ...] = FIG10_POOL_MB,
     nodes: int = FULL_NODES,
 ) -> PressureResult:
     """Figures 10-11: sweep the cluster pool size (the paper's 40/30/20G).

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro._util import MIB, PAGE_SIZE
+from repro._util import MIB
 from repro.core.costs import CostModel, ParallelConfig
 from repro.faults.schedule import FaultsConfig, FaultSchedule
 from repro.memory.fingerprint import FingerprintConfig
@@ -48,7 +48,6 @@ class ClusterConfig:
     nodes: int = 4
     node_memory_mb: float = 2048.0
     content_scale: float = 1.0 / 64.0
-    page_size: int = PAGE_SIZE
     aslr: bool = False
     seed: int = 0
     rdma: RdmaConfig = field(default_factory=RdmaConfig)

@@ -88,6 +88,11 @@ class TestValidation:
         )
         assert ClusterConfig(**kwargs).faults == kwargs["faults"]
 
+    def test_page_size_is_not_a_cluster_setting(self):
+        # Images carry their own page size; a cluster-level one was never read.
+        with pytest.raises(TypeError):
+            ClusterConfig(page_size=0)
+
     @pytest.mark.parametrize("threshold", [0.0, 1.0])
     def test_savings_threshold_endpoints_valid(self, threshold):
         config = ClusterConfig(base_savings_threshold=threshold)

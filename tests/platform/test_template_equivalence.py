@@ -167,7 +167,7 @@ class TestTemplatesOnBehaviour:
         that survives every scale is the tail: forks and scale-out must
         serve the pressure spikes no slower than the dedup-only
         baseline.  Cold-start counts are compared on the Fig-10 ladder
-        (``benchmarks/bench_template_sharing.py``) where the baseline
+        (``benchmarks/bench_feature_ladder.py``) where the baseline
         genuinely purges last copies under pressure.
         """
         suite, config, trace = pressure_workload()
