@@ -373,10 +373,8 @@ def render_tenancy(report: dict) -> str:
 # ------------------------------------------------------------- faults
 
 
-def crash_schedule(crashes: int) -> FaultsConfig | None:
+def crash_schedule(crashes: int) -> FaultsConfig:
     """0/1/2 staggered crash+restart events inside the trace window."""
-    if crashes == 0:
-        return None
     duration_ms = CRASH_DURATION_MIN * 60_000.0
     events = tuple(
         NodeCrash(

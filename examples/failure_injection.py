@@ -3,9 +3,12 @@
 
 A dedup sandbox's patches are useless if the node holding its base pages
 becomes unreachable.  This example builds a Medes cluster, deduplicates
-a sandbox whose base lives on another node, kills that node's fabric
-link, and shows the platform degrading gracefully: the restore fails
-fast, the broken dedup state is purged, and the request is served cold.
+a sandbox whose base lives on another node, then injects a fault plan
+through ``ClusterConfig.faults``: every fabric link partitions, and
+later the base's node crashes.  The platform degrades gracefully: the
+restore fails fast and the request is served cold; the dedup state is
+kept while its base node lives (a partition heals) and purged once the
+node dies.  The example asserts each of these outcomes.
 
 Run:
     python examples/failure_injection.py
@@ -16,18 +19,33 @@ from __future__ import annotations
 import json
 
 from repro.core.policy import MedesPolicyConfig
+from repro.faults import FaultSchedule, FaultsConfig, LinkPartition, NodeCrash
 from repro.platform import ClusterConfig, PlatformKind, StartType, build_platform
+from repro.sandbox.state import SandboxState
 from repro.workload import FunctionBenchSuite, Trace
 
 
 def main() -> None:
     suite = FunctionBenchSuite.subset(["RNNModel"])
-    config = ClusterConfig(nodes=2, node_memory_mb=512.0, seed=8, verify_restores=True)
+    # Every link partitions at 60 s and heals at 120 s; node 0, home of
+    # the base sandbox, crashes at 100 s.
+    faults = FaultsConfig(
+        schedule=FaultSchedule(
+            link_partitions=tuple(
+                LinkPartition(at_ms=60_000.0, peer=peer, heal_at_ms=120_000.0)
+                for peer in (0, 1)
+            ),
+            node_crashes=(NodeCrash(at_ms=100_000.0, node_id=0),),
+        )
+    )
+    config = ClusterConfig(
+        nodes=2, node_memory_mb=512.0, seed=8, verify_restores=True, faults=faults
+    )
     policy = MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0)
 
     # Two sandboxes early (one becomes the base, one deduplicates).
-    # Two requests then arrive together after the failure: the first takes
-    # the (warm) base sandbox, the second can only be served by the
+    # Two requests then arrive together after the partition: the first
+    # takes the (warm) base sandbox, the second can only be served by the
     # deduplicated sandbox -- whose base pages are now unreachable.
     trace = Trace.from_arrivals(
         [(0.0, "RNNModel"), (1.0, "RNNModel"), (90_000.0, "RNNModel"),
@@ -35,29 +53,39 @@ def main() -> None:
     )
 
     platform = build_platform(PlatformKind.MEDES, config, suite, medes=policy)
+    kept = []
 
-    def kill_remote_links() -> None:
-        print(f"[t={platform.sim.now / 1000:.0f}s] failing the RDMA links "
-              f"of every node — remote base pages become unreachable")
-        for node in platform.nodes:
-            platform.fabric.fail_peer(node.node_id)
+    def dedup_sandboxes_before_crash() -> None:
+        kept.extend(
+            sandbox
+            for node in platform.nodes
+            for sandbox in node.sandboxes.values()
+            if sandbox.state is SandboxState.DEDUP
+        )
 
-    platform.sim.at(60_000.0, kill_remote_links)
+    platform.sim.at(99_000.0, dedup_sandboxes_before_crash)
     report = platform.run(trace)
+    metrics = report.metrics
+
+    print("Fault events:")
+    for event in metrics.fault_events:
+        print(f"  t={event.time_ms / 1000:5.0f}s  {event.kind:16s} {event.domain}")
 
     print("\nPer-request outcome:")
-    for record in report.metrics.requests.values():
+    for record in metrics.requests.values():
         print(f"  t={record.arrival_ms / 1000:5.0f}s  {record.start_type.value:5s} "
               f"startup={record.startup_ms:7.1f} ms")
 
-    final = report.metrics.requests[3]
-    if final.start_type is StartType.COLD:
-        print("\nThe post-failure request fell back to a cold start: the dedup")
-        print("sandbox's base pages were unreachable, so its state was purged")
-        print("rather than risking a corrupt restore.")
-    else:
-        print("\nThe dedup sandbox's base pages happened to be node-local, so")
-        print("the restore proceeded without touching the failed fabric.")
+    final = metrics.requests[3]
+    assert final.start_type is StartType.COLD, final.start_type
+    assert metrics.restore_cold_fallbacks == 1, metrics.restore_cold_fallbacks
+    assert kept, "the partition must keep the dedup sandbox"
+    assert all(sandbox.state is SandboxState.PURGED for sandbox in kept)
+    assert metrics.crash_reconciled_refs > 0
+    print("\nThe post-partition request fell back to a cold start: the dedup")
+    print("sandbox's base pages were unreachable, so the restore failed fast")
+    print("rather than risking a corrupt restore.  The sandbox was kept while")
+    print("its base node lived, and purged when node 0 crashed.")
 
     print(f"\nfabric: {platform.fabric.stats.failed_reads} failed read batches, "
           f"{platform.fabric.stats.remote_reads} successful remote reads")

@@ -110,7 +110,7 @@ class ClusterController:
         store: CheckpointStore,
         basemgr: BaseSandboxManager,
         stats: dict[str, FunctionStats] | None = None,
-        faults: "FaultRuntime | None" = None,
+        faults: FaultRuntime,
         templates: TemplateCatalog | None = None,
     ):
         self.sim = sim
@@ -142,12 +142,10 @@ class ClusterController:
         self._pending_dedups: dict[int, tuple[Timer, object]] = {}
         self._instance_counter = 0
         self._draining = False
-        self.tiering = config.checkpoint_tiering
         self.tiered_store: TieredCheckpointStore | None = (
             store if isinstance(store, TieredCheckpointStore) else None
         )
-        if self.tiering and self.tiered_store is None:
-            raise ValueError("checkpoint_tiering requires a TieredCheckpointStore")
+        """The store when it tiers checkpoints (DESIGN.md §9), else None."""
         self._cold: dict[int, Sandbox] = {}
         """Dedup sandboxes whose table is parked on SSD, in demote order
         (the SSD-pressure LRU; tiering only)."""
@@ -253,9 +251,7 @@ class ClusterController:
             used_bytes=self.used_bytes(),
             capacity_bytes=self.config.cluster_capacity_bytes,
             rate_shares=shares,
-            registry_available=(
-                self._faults is None or self._faults.health.registry_available()
-            ),
+            registry_available=self._faults.health.registry_available(),
             templates_available=self.templates is not None,
         )
 
@@ -409,7 +405,7 @@ class ClusterController:
         assert sandbox.dedup_table is not None
         agent = self.agents[sandbox.node_id]
         promote_ms = 0.0
-        if self.tiering:
+        if self.tiered_store is not None:
             # Read a parked ("dedup-cold") table back from SSD and bring
             # hot demoted checkpoints home before the restore proper.
             promote_ms += self._promote_table(sandbox)
@@ -427,7 +423,7 @@ class ClusterController:
                 record.retry_penalty_ms += exc.charged_ms
                 return False
             except PeerUnavailable as exc:
-                if self._faults is not None and self._faults.health.node_up(exc.peer):
+                if self._faults.health.node_up(exc.peer):
                     # Link partition, not a dead node: the base state
                     # still exists, so keep the sandbox for post-heal.
                     return False
@@ -523,7 +519,6 @@ class ClusterController:
         for segment in outcome.promoted:
             node.pin_template(segment.segment_id, segment.full_bytes)
         self.metrics.template_promotions += len(outcome.promoted)
-        self.metrics.template_promote_bytes += outcome.promoted_bytes
         self._timers_for(sandbox).cancel_all()
         sandbox.busy_request_id = request.request_id
         sandbox.transition(SandboxState.RESTORING, self.sim.now)
@@ -655,7 +650,7 @@ class ClusterController:
     def _evictable_sandboxes(self, node: Node) -> list[Sandbox]:
         """Node's purgeable idle victims, unranked."""
         victims = [s for s in node.sandboxes.values() if s.evictable]
-        if self.tiering or self.templates is not None:
+        if self.tiered_store is not None or self.templates is not None:
             # Dedup-cold / template-cold sandboxes hold no DRAM (their
             # table lives on SSD or in the remote template pool); purging
             # them frees nothing and destroys restorable state.
@@ -680,20 +675,15 @@ class ClusterController:
         they are spared under ordinary pressure; ``include_bases`` opens
         up *unpinned* bases (refcount 0) as a genuine last resort —
         without it, an unpinned base on a full node could starve queued
-        work indefinitely.  ``eviction_scan_cap`` bounds the candidates
-        ranked per call without changing which victim is purged next
-        (the capped list is an exact prefix of the unlimited order); the
-        ranked count feeds ``metrics.eviction_candidates_scanned``, so
-        scan volume under pressure is observable either way.
+        work indefinitely.  The ranked count feeds
+        ``metrics.eviction_candidates_scanned``, so scan volume under
+        pressure is observable.
         """
-        cap = self.config.eviction_scan_cap or None
-        victims = rank_victims(
-            self._evictable_sandboxes(node), self.config.eviction_order, limit=cap
-        )
+        victims = rank_victims(self._evictable_sandboxes(node), self.config.eviction_order)
         self.metrics.eviction_candidates_scanned += len(victims)
         if include_bases:
             unpinned_bases = rank_victims(
-                self._unpinned_base_sandboxes(node), EvictionOrder.LRU, limit=cap
+                self._unpinned_base_sandboxes(node), EvictionOrder.LRU
             )
             self.metrics.eviction_candidates_scanned += len(unpinned_bases)
             victims = victims + unpinned_bases
@@ -703,9 +693,7 @@ class ClusterController:
         """Memory evicting every candidate would free — unranked.
 
         The placement gate only needs the *total*, so it skips the
-        ranking entirely: an O(idle) sum that stays exact under an
-        ``eviction_scan_cap`` (a capped ranked list would undercount and
-        wrongly skip nodes with enough reclaimable memory).
+        ranking entirely: an O(idle) sum.
         """
         total = sum(s.memory_bytes() for s in self._evictable_sandboxes(node))
         if include_bases:
@@ -738,8 +726,7 @@ class ClusterController:
     def _try_place(self, needed_bytes: int, *, include_bases: bool) -> Node | None:
         # The candidate order is fixed at entry (evictions below do not
         # re-rank it): a snapshot of the maintained placement order.
-        down = self._faults.health.down_nodes if self._faults is not None else frozenset()
-        candidates = self._usage.snapshot(exclude=down)
+        candidates = self._usage.snapshot(exclude=self._faults.health.down_nodes)
         for node in candidates:
             if node.fits(needed_bytes):
                 return node
@@ -773,7 +760,7 @@ class ClusterController:
                         (v for v in victims if self._has_other_copy(v)), victim
                     )
                 if (
-                    self.tiering
+                    self.tiered_store is not None
                     and victim.state is SandboxState.DEDUP
                     and self._demote_table(victim)
                 ):
@@ -1029,9 +1016,7 @@ class ClusterController:
             # Base sandboxes stay warm while they anchor dedup state.
             timers.idle = self.sim.after(idle_period, lambda: self._on_idle_expiry(sandbox))
             return
-        registry_down = (
-            self._faults is not None and not self._faults.health.registry_available()
-        )
+        registry_down = not self._faults.health.registry_available()
         if registry_down and self.templates is None:
             # Degradation ladder (DESIGN.md §11): with a registry shard
             # down no new dedup ops are admitted; stay warm and re-ask
@@ -1099,7 +1084,7 @@ class ClusterController:
     def _on_keep_dedup_expiry(self, sandbox: Sandbox) -> None:
         if sandbox.state is SandboxState.DEDUP and sandbox.busy_request_id is None:
             if (
-                self.tiering
+                self.tiered_store is not None
                 and not isinstance(sandbox.dedup_table, TemplateDeltaTable)
                 and self._demote_table(sandbox)
             ):
@@ -1150,7 +1135,6 @@ class ClusterController:
         sandbox.table_tier = StorageTier.LOCAL_SSD
         self.nodes[node_id].recharge_sandbox(sandbox.sandbox_id)
         self._cold[sandbox.sandbox_id] = sandbox
-        self.metrics.table_demotions += 1
         self.metrics.tier_ops.append(
             TierOpRecord(
                 time_ms=self.sim.now,
@@ -1177,7 +1161,6 @@ class ClusterController:
         sandbox.table_tier = None
         self.nodes[sandbox.node_id].recharge_sandbox(sandbox.sandbox_id)
         self._cold.pop(sandbox.sandbox_id, None)
-        self.metrics.table_promotions += 1
         self.metrics.tier_ops.append(
             TierOpRecord(
                 time_ms=self.sim.now,
@@ -1214,7 +1197,6 @@ class ClusterController:
                 continue
             move = store.promote_checkpoint(checkpoint)
             node.recharge_checkpoint(checkpoint.checkpoint_id)
-            self.metrics.checkpoint_promotions += 1
             self.metrics.tier_ops.append(
                 TierOpRecord(
                     time_ms=self.sim.now,
@@ -1237,7 +1219,6 @@ class ClusterController:
         if move is None:
             return False
         self.nodes[checkpoint.node_id].recharge_checkpoint(checkpoint.checkpoint_id)
-        self.metrics.checkpoint_demotions += 1
         self.metrics.tier_ops.append(
             TierOpRecord(
                 time_ms=self.sim.now,
@@ -1292,7 +1273,6 @@ class ClusterController:
             )
         sandbox.is_base = True
         sandbox.base_checkpoint_id = checkpoint.checkpoint_id
-        self.metrics.bases_created += 1
 
         costs = self.config.costs
         full_pages = max(1, round(image.num_pages / self.config.content_scale))
@@ -1445,8 +1425,6 @@ class ClusterController:
                 outcome.table.retained_full_bytes / sandbox.profile.memory_bytes
             )
             self.stats[sandbox.function].record_retained_fraction(min(1.0, fraction))
-        self.metrics.template_segments_created += outcome.segments_created
-        self.metrics.template_segments_shared += outcome.segments_shared
         self.metrics.template_ops.append(
             TemplateOpRecord(
                 function=sandbox.function,
@@ -1544,9 +1522,7 @@ class ClusterController:
         for replica in self.registry.replicas_for(ref):
             if replica.checkpoint_id in dead:
                 continue
-            if self._faults is not None and not self._faults.health.node_up(
-                replica.node_id
-            ):
+            if not self._faults.health.node_up(replica.node_id):
                 continue
             try:
                 checkpoint = self.store.get(replica.checkpoint_id)
@@ -1572,7 +1548,7 @@ class ClusterController:
         the caller purges.  Refcounts move atomically — acquire the new
         bases, then release the dead ones exactly once.
         """
-        if self._faults is None or not self._faults.health.registry_available():
+        if not self._faults.health.registry_available():
             return False
         table = sandbox.dedup_table
         assert table is not None
@@ -1781,8 +1757,7 @@ class ClusterController:
             else:
                 self._release_base_refs(sandbox.dedup_table)
                 self.basemgr.note_dedup(sandbox.function, -1)
-                if self.tiering:
-                    assert self.tiered_store is not None
+                if self.tiered_store is not None:
                     self.tiered_store.release_table(sandbox.sandbox_id)
                     self._cold.pop(sandbox.sandbox_id, None)
         self._end_template_sharing(sandbox)
@@ -1798,7 +1773,7 @@ class ClusterController:
             # the pinned checkpoint at its full footprint.
             self.nodes[checkpoint.node_id].recharge_checkpoint(checkpoint.checkpoint_id)
             if (
-                self.tiering
+                self.tiered_store is not None
                 and checkpoint.pinned
                 and checkpoint.node_id != self._crashed_node
             ):

@@ -43,7 +43,7 @@ from repro._util import LruCache
 from repro.core.costs import CostModel, ParallelConfig, StageOverlap, pipelined_ms
 from repro.core.registry import FingerprintRegistry, PageRef
 from repro.faults.health import RegistryUnavailable
-from repro.faults.retry import RetryExhausted, TransientFaults
+from repro.faults.retry import RetryExhausted, RetryPolicy, TransientFaults
 from repro.memory.fingerprint import (
     FingerprintConfig,
     batch_page_fingerprints,
@@ -354,7 +354,6 @@ class DedupAgent:
         unique_threshold: float = UNIQUE_THRESHOLD,
         base_page_cache_pages: int = BASE_PAGE_CACHE_PAGES,
         anchor_index_cache_pages: int = ANCHOR_INDEX_CACHE_PAGES,
-        tiering: bool = False,
         recorder: WorkingSetRecorder | None = None,
         overlap_costs: ParallelConfig | None = None,
         transients: TransientFaults | None = None,
@@ -362,15 +361,12 @@ class DedupAgent:
     ):
         if not 0 < content_scale <= 1:
             raise ValueError("content_scale must be in (0, 1]")
-        if tiering and not isinstance(store, TieredCheckpointStore):
-            raise ValueError("tiering requires a TieredCheckpointStore")
         self.node_id = node_id
         self.registry = registry
         self.store = store
         self.fabric = fabric
         self.costs = costs
         self.content_scale = content_scale
-        self.tiering = tiering
         self.recorder = recorder
         """Restore working-set recorder, shared cluster-wide (tiering
         with prefetch only; None disables recording)."""
@@ -380,13 +376,12 @@ class DedupAgent:
         self.overlap_costs = overlap_costs
         """Charge dedup/restore timings with stage-overlap accounting
         for this parallel shape (None = serial stage sums)."""
-        self.transients = transients
-        """Seeded transient-RPC failure model (fault layer; None = RPCs
-        never fail transiently).  Registry lookups and remote base-page
-        fetches draw a retry plan from it, charge the timeout/backoff
-        latency into the op's timings, and surface
-        :class:`RegistryUnavailable` / :class:`RetryExhausted` when
-        every attempt fails."""
+        self.transients = transients or TransientFaults(0.0, RetryPolicy(), seed=0)
+        """Seeded transient-RPC failure model (fault layer; the default
+        never fails).  Registry lookups and remote base-page fetches draw
+        a retry plan from it, charge the timeout/backoff latency into the
+        op's timings, and surface :class:`RegistryUnavailable` /
+        :class:`RetryExhausted` when every attempt fails."""
         self.templates = templates
         """Cluster-wide template catalog (DESIGN.md §14; None unless
         ``template_sharing`` is on)."""
@@ -641,17 +636,12 @@ class DedupAgent:
         """Shared tail of both dedup paths: refcounts, table, timings."""
         # Resolve the registry RPC's transient-fault plan BEFORE touching
         # refcounts: an exhausted op must leave no state behind.
-        retry_ms = 0.0
-        retries = 0
-        if self.transients is not None:
-            plan = self.transients.plan("registry-lookup")
-            if not plan.succeeded:
-                raise RegistryUnavailable(
-                    f"registry lookup for sandbox {sandbox.sandbox_id}: "
-                    f"all {plan.attempts} attempts timed out"
-                )
-            retry_ms = plan.charged_ms
-            retries = plan.attempts
+        plan = self.transients.plan("registry-lookup")
+        if not plan.succeeded:
+            raise RegistryUnavailable(
+                f"registry lookup for sandbox {sandbox.sandbox_id}: "
+                f"all {plan.attempts} attempts timed out"
+            )
         for checkpoint_id, count in base_refs.items():
             self.store.get(checkpoint_id).acquire(count)
 
@@ -701,8 +691,8 @@ class DedupAgent:
                 max(1, round(patched_pages * scale_up))
             ),
             overlap=overlap,
-            retry_ms=retry_ms,
-            retries=retries,
+            retry_ms=plan.charged_ms,
+            retries=plan.attempts,
         )
         self.dedup_ops += 1
         return DedupOutcome(table=table, timings=timings)
@@ -744,9 +734,7 @@ class DedupAgent:
         # Entirely-local fetches involve no RPC and never fail this way.
         retry_ms = 0.0
         retries = 0
-        if self.transients is not None and any(
-            peer != self.node_id for peer in reads_by_peer
-        ):
+        if any(peer != self.node_id for peer in reads_by_peer):
             plan = self.transients.plan("restore-fetch")
             if not plan.succeeded:
                 raise RetryExhausted("restore-fetch", plan.attempts, plan.charged_ms)
@@ -758,7 +746,7 @@ class DedupAgent:
         # controller falls back to a cold start.
         full_pages = self._full_pages(len(table.entries))
         scale_up = full_pages / max(1, len(table.entries))
-        if self.tiering:
+        if isinstance(self.store, TieredCheckpointStore):
             (
                 base_read_ms,
                 prefetched,
@@ -861,14 +849,9 @@ class DedupAgent:
             )
         # Resolve the pool write's transient-fault plan BEFORE publishing
         # anything: an exhausted op must leave no state behind.
-        retry_ms = 0.0
-        retries = 0
-        if self.transients is not None:
-            plan = self.transients.plan("template-publish")
-            if not plan.succeeded:
-                raise RetryExhausted("template-publish", plan.attempts, plan.charged_ms)
-            retry_ms = plan.charged_ms
-            retries = plan.attempts
+        plan = self.transients.plan("template-publish")
+        if not plan.succeeded:
+            raise RetryExhausted("template-publish", plan.attempts, plan.charged_ms)
 
         segments, created, publish_ms = catalog.ensure_segments(
             image.regions, sandbox.domain
@@ -891,7 +874,7 @@ class DedupAgent:
                 max(1, round(table.patched_pages * scale_up))
             )
             + publish_ms
-            + retry_ms
+            + plan.charged_ms
         )
         self.templatize_ops += 1
         return TemplatizeOutcome(
@@ -901,8 +884,8 @@ class DedupAgent:
             segments_created=len(created),
             segments_shared=len(segments) - len(created),
             published_bytes=sum(segment.full_bytes for segment in created),
-            retry_ms=retry_ms,
-            retries=retries,
+            retry_ms=plan.charged_ms,
+            retries=plan.attempts,
         )
 
     def fork_restore(
@@ -926,7 +909,7 @@ class DedupAgent:
         # resolves its retry plan before any side effects.
         retry_ms = 0.0
         retries = 0
-        if self.transients is not None and catalog.missing_on(self.node_id, keys):
+        if catalog.missing_on(self.node_id, keys):
             plan = self.transients.plan("template-fork")
             if not plan.succeeded:
                 raise RetryExhausted("template-fork", plan.attempts, plan.charged_ms)

@@ -455,32 +455,17 @@ class FingerprintRegistry:
             + (refs + location_refs) * _REF_BYTES
         )
 
-    def shard_for(self, digest: int, n_shards: int) -> int:
-        """Key-partitioned shard placement (the Section 4.3 scaling path).
-
-        Lookups are independent per digest, so the registry distributes
-        by digest; the single-controller experiments use ``n_shards=1``.
-        Sharding is orthogonal to tenancy: a digest routes to the same
-        shard whatever its domain, and the domain partition lives inside
-        each shard.
-        """
-        if n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        return digest % n_shards
-
 
 class ShardedFingerprintRegistry:
     """A key-partitioned fingerprint registry (paper Section 4.3).
 
     Accesses to the registry are independent per-digest lookups, so the
     controller can be distributed by sharding the digest space across
-    controller nodes; chain replication provides fault tolerance.  This
-    class is API-compatible with :class:`FingerprintRegistry`: each
-    digest routes to ``shard_for(digest)``; page-level operations fan
-    out and merge, and the batch APIs group a whole image's digests per
-    shard so each shard is visited once per batch.  ``replication``
-    models the chain length — inserts are charged to every replica (for
-    overhead accounting) while reads are served by the tail.
+    controller nodes.  This class is API-compatible with
+    :class:`FingerprintRegistry`: each digest routes to
+    ``shard_for(digest)``; page-level operations fan out and merge, and
+    the batch APIs group a whole image's digests per shard so each shard
+    is visited once per batch.
 
     Page-level stats (pages registered / page lookups / hits) are kept
     by this front end — counting each page exactly once regardless of
@@ -499,15 +484,11 @@ class ShardedFingerprintRegistry:
         config: FingerprintConfig | None = None,
         *,
         max_refs_per_digest: int = 8,
-        replication: int = 1,
     ):
         if n_shards <= 0:
             raise ValueError("n_shards must be positive")
-        if replication <= 0:
-            raise ValueError("replication must be positive")
         self.config = config or FingerprintConfig()
         self.n_shards = n_shards
-        self.replication = replication
         self.shards = [
             FingerprintRegistry(self.config, max_refs_per_digest=max_refs_per_digest)
             for _ in range(n_shards)
@@ -521,6 +502,11 @@ class ShardedFingerprintRegistry:
         self._route_by_checkpoint: dict[int, list[PageRef]] = defaultdict(list)
 
     def shard_for(self, digest: int) -> int:
+        """Key-partitioned shard placement (the Section 4.3 scaling path).
+
+        Orthogonal to tenancy: a digest routes to the same shard whatever
+        its domain, and the domain partition lives inside each shard.
+        """
         return digest % self.n_shards
 
     # --------------------------------------------------------- page level
@@ -691,8 +677,8 @@ class ShardedFingerprintRegistry:
         return sum(shard.digest_count for shard in self.shards)
 
     def memory_bytes(self) -> int:
-        """Total footprint across shards, times the replication factor."""
-        return sum(shard.memory_bytes() for shard in self.shards) * self.replication
+        """Total footprint across shards."""
+        return sum(shard.memory_bytes() for shard in self.shards)
 
     def load_imbalance(self) -> float:
         """Max-shard / mean-shard digest load (1.0 = perfectly even)."""

@@ -5,8 +5,10 @@ The package is the chaos layer of the reproduction: a seeded, clock-driven
 registry shards and degrades links mid-run, plus the retry/backoff machinery
 (:class:`~repro.faults.retry.TransientFaults`) that makes base-page fetches
 and registry RPCs resilient to per-op transient failures.  Everything hangs
-off ``ClusterConfig.faults``; the default (``None``) leaves every run
-bit-identical to a build without this package.
+off ``ClusterConfig.faults``.  Every platform builds the layer; the
+default, an empty ``FaultsConfig()``, injects nothing, and
+``tests/faults/test_equivalence.py`` pins its healthy runs bit-for-bit
+to recorded results.
 """
 
 from repro.faults.health import FaultDomainHealth, FaultRuntime, RegistryUnavailable

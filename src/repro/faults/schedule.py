@@ -12,9 +12,9 @@ Determinism contract: the schedule carries only absolute simulated
 times; the only randomness anywhere in the fault layer flows through the
 counter-keyed streams of :class:`~repro.faults.retry.TransientFaults`.
 A run under a fixed config and trace therefore reproduces bit-for-bit —
-including every crash, retry and jittered backoff — and
-``ClusterConfig.faults=None`` is pinned bit-identical to a build without
-the fault layer at all.
+including every crash, retry and jittered backoff — and the default
+empty ``FaultsConfig()`` is pinned bit-identical to recorded healthy
+runs.
 """
 
 from __future__ import annotations
@@ -161,10 +161,9 @@ class FaultSchedule:
 class FaultsConfig:
     """The ``ClusterConfig.faults`` knob.
 
-    ``None`` (the field default on :class:`ClusterConfig`) disables the
-    fault layer entirely; an empty ``FaultsConfig()`` enables the layer
-    but injects nothing — the equivalence tests pin both to bit-identical
-    ``RunMetrics``.
+    The empty ``FaultsConfig()`` (the field default on
+    :class:`ClusterConfig`) injects nothing: it is the healthy
+    configuration, pinned by the equivalence tests.
     """
 
     schedule: FaultSchedule = field(default_factory=FaultSchedule)

@@ -65,14 +65,6 @@ class ClusterConfig:
     """Shards of the controller fingerprint registry (Section 4.3); 1
     reproduces the paper's single-controller experiments."""
     eviction_order: EvictionOrder = EvictionOrder.LRU
-    eviction_scan_cap: int = 0
-    """Bound on eviction candidates ranked per placement decision.  A
-    permanently full node re-sorts its whole idle population on every
-    cold start (quadratic thrash at cluster scale); a positive cap ranks
-    only the top ``cap`` victims per decision (a ``heapq.nsmallest``
-    prefix of the full order, so the victims chosen are identical
-    whenever fewer than ``cap`` evictions suffice).  0 (the default)
-    reproduces the unbounded full-sort behaviour bit-identically."""
     enable_dedup_abort: bool = True
     """Abort an in-flight dedup op to serve an arriving request warm
     (cheaper than a cold start); off reproduces a stricter reading of
@@ -121,16 +113,15 @@ class ClusterConfig:
     (``DedupDomainMode.OFF``) maps every tenant to the single global
     domain and is pinned bit-identical to the pre-tenancy platform by
     the equivalence tests."""
-    faults: FaultsConfig | None = None
+    faults: FaultsConfig = field(default_factory=FaultsConfig)
     """Fault injection and recovery (DESIGN.md §11): a seeded
     :class:`~repro.faults.schedule.FaultSchedule` of node crashes,
     registry-shard outages and link faults, plus per-op transient RPC
-    failures with retry/backoff.  ``None`` (the default) disables the
-    fault layer entirely and is pinned bit-identical to a build without
-    it; an empty ``FaultsConfig()`` enables the layer but injects
-    nothing — also bit-identical, by the equivalence tests.  All fault
-    randomness is seeded (``seed`` + ``faults.seed``), so a faulted run
-    reproduces bit-for-bit."""
+    failures with retry/backoff.  The fault layer is always built; the
+    default, an empty ``FaultsConfig()``, injects nothing and is the
+    healthy configuration (``None`` is rejected).  All fault randomness
+    is seeded (``seed`` + ``faults.seed``), so a faulted run reproduces
+    bit-for-bit."""
 
     def __post_init__(self) -> None:
         if self.nodes <= 0:
@@ -145,12 +136,13 @@ class ClusterConfig:
             raise ValueError("registry_shards must be positive")
         if not 0 <= self.base_savings_threshold <= 1:
             raise ValueError("base_savings_threshold must be in [0, 1]")
-        if self.eviction_scan_cap < 0:
-            raise ValueError("eviction_scan_cap must be non-negative")
         if self.memory_sample_interval_ms <= 0:
             raise ValueError("memory_sample_interval_ms must be positive")
-        if self.faults is not None:
-            self._check_fault_targets(self.faults.schedule)
+        if not isinstance(self.faults, FaultsConfig):
+            raise ValueError(
+                "faults must be a FaultsConfig; FaultsConfig() injects nothing"
+            )
+        self._check_fault_targets(self.faults.schedule)
 
     def _check_fault_targets(self, schedule: FaultSchedule) -> None:
         """Reject faults aimed at a node, peer or shard the cluster lacks."""

@@ -17,6 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from repro._util import percentile
+from repro.core.costs import pipelined_ms
 
 
 class StartType(enum.Enum):
@@ -155,13 +156,10 @@ class RestoreOpRecord:
         if self.prefetched:
             fetch = max(self.base_read_ms, compute_ms) + self.miss_read_ms
         elif self.overlap_batches > 1:
-            ramp = (self.base_read_ms + compute_ms) / self.overlap_batches
-            steady = (
-                max(self.base_read_ms, compute_ms)
-                * (self.overlap_batches - 1)
-                / self.overlap_batches
+            fetch = (
+                pipelined_ms((self.base_read_ms, compute_ms), self.overlap_batches)
+                + self.miss_read_ms
             )
-            fetch = ramp + steady + self.miss_read_ms
         else:
             fetch = self.base_read_ms + compute_ms
         return fetch + self.restore_ms + self.promote_ms + self.retry_ms
@@ -425,23 +423,15 @@ class RunMetrics:
     evictions: int = 0
     eviction_candidates_scanned: int = 0
     """Eviction candidates ranked across all placement decisions — the
-    tripwire for quadratic scan thrash on permanently full clusters
-    (bounded per decision by ``ClusterConfig.eviction_scan_cap``)."""
+    tripwire for quadratic scan thrash on permanently full clusters."""
     prewarm_spawns: int = 0
     sandboxes_created: int = 0
-    bases_created: int = 0
     tier_ops: list[TierOpRecord] = field(default_factory=list)
     """Charged demotions/promotions (empty unless checkpoint tiering)."""
     tier_timeline: ColumnTimeline = field(
         default_factory=lambda: ColumnTimeline(TierSample)
     )
     """Sampled non-DRAM tier occupancy (empty unless checkpoint tiering)."""
-    checkpoint_demotions: int = 0
-    checkpoint_promotions: int = 0
-    table_demotions: int = 0
-    """Dedup patch tables parked on SSD instead of purged ("dedup-cold")."""
-    table_promotions: int = 0
-    """Parked tables read back for a restore."""
     prefetch_recordings: int = 0
     """Restore working sets recorded (first restores of a key)."""
     prefetched_restores: int = 0
@@ -508,15 +498,8 @@ class RunMetrics:
         default_factory=lambda: ColumnTimeline(TemplateSample)
     )
     """Sampled template catalog occupancy (empty unless template sharing)."""
-    template_segments_created: int = 0
-    """Distinct (content, size) template segments published to the pool."""
-    template_segments_shared: int = 0
-    """Segment reuses across templatize ops — each is a whole shared
-    region that needed no publish because another function (or an earlier
-    sandbox) already put it in the pool."""
     template_promotions: int = 0
     """Charged pool → node-DRAM segment promotions (first fork per node)."""
-    template_promote_bytes: int = 0
     template_replica_evictions: int = 0
     """Node-DRAM template replicas dropped under placement pressure (the
     pool copy survives, so this never loses content)."""
@@ -541,6 +524,49 @@ class RunMetrics:
     template_delta_unspill_bytes: int = 0
     """SSD bytes read back by forks of spilled sandboxes (the charged
     leg on the start path)."""
+
+    # ------------------------------------------------ derived from records
+
+    @property
+    def bases_created(self) -> int:
+        return len(self.base_ops)
+
+    def _tier_moves(self, kind: str, subject: str) -> int:
+        return sum(op.kind == kind and op.subject == subject for op in self.tier_ops)
+
+    @property
+    def checkpoint_demotions(self) -> int:
+        return self._tier_moves("demote", "checkpoint")
+
+    @property
+    def checkpoint_promotions(self) -> int:
+        return self._tier_moves("promote", "checkpoint")
+
+    @property
+    def table_demotions(self) -> int:
+        """Dedup patch tables parked on SSD instead of purged ("dedup-cold")."""
+        return self._tier_moves("demote", "table")
+
+    @property
+    def table_promotions(self) -> int:
+        """Parked tables read back for a restore."""
+        return self._tier_moves("promote", "table")
+
+    @property
+    def template_segments_created(self) -> int:
+        """Distinct (content, size) template segments published to the pool."""
+        return sum(op.segments_created for op in self.template_ops)
+
+    @property
+    def template_segments_shared(self) -> int:
+        """Segment reuses across templatize ops — each is a whole shared
+        region that needed no publish because another function (or an
+        earlier sandbox) already put it in the pool."""
+        return sum(op.segments_shared for op in self.template_ops)
+
+    @property
+    def template_promote_bytes(self) -> int:
+        return sum(fork.promoted_bytes for fork in self.template_forks)
 
     # -------------------------------------------------------------- record
 

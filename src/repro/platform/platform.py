@@ -113,20 +113,15 @@ class Platform:
             self.store = CheckpointStore()
             self.recorder = None
         self.basemgr = BaseSandboxManager(self.store, threshold=config.base_threshold)
-        if config.faults is not None:
-            self.faults: FaultRuntime | None = FaultRuntime(
-                config=config.faults,
-                health=FaultDomainHealth(
-                    nodes=config.nodes, shards=config.registry_shards
-                ),
-                transients=TransientFaults(
-                    config.faults.rpc_failure_prob,
-                    config.faults.retry,
-                    seed=stable_seed("transient-rpc", config.seed, config.faults.seed),
-                ),
-            )
-        else:
-            self.faults = None
+        self.faults = FaultRuntime(
+            config=config.faults,
+            health=FaultDomainHealth(nodes=config.nodes, shards=config.registry_shards),
+            transients=TransientFaults(
+                config.faults.rpc_failure_prob,
+                config.faults.retry,
+                seed=stable_seed("transient-rpc", config.seed, config.faults.seed),
+            ),
+        )
         self.templates: TemplateCatalog | None = (
             TemplateCatalog(
                 config.templates,
@@ -153,10 +148,9 @@ class Platform:
                 costs=config.costs,
                 content_scale=config.content_scale,
                 fingerprint_config=config.fingerprint,
-                tiering=config.checkpoint_tiering,
                 recorder=self.recorder,
                 overlap_costs=config.parallel if config.parallel_data_plane else None,
-                transients=self.faults.transients if self.faults is not None else None,
+                transients=self.faults.transients,
                 templates=self.templates,
             )
             for node in self.nodes
@@ -176,19 +170,15 @@ class Platform:
             faults=self.faults,
             templates=self.templates,
         )
-        self.injector: FaultInjector | None = (
-            FaultInjector(
-                sim=self.sim,
-                config=config,
-                runtime=self.faults,
-                fabric=self.fabric,
-                registry=self.registry,
-                controller=self.controller,
-                store=self.store,
-                metrics=self.metrics,
-            )
-            if self.faults is not None
-            else None
+        self.injector = FaultInjector(
+            sim=self.sim,
+            config=config,
+            runtime=self.faults,
+            fabric=self.fabric,
+            registry=self.registry,
+            controller=self.controller,
+            store=self.store,
+            metrics=self.metrics,
         )
 
     def cluster_snapshot(self) -> dict:
@@ -277,8 +267,7 @@ class Platform:
         of quiet time has elapsed (so background dedup ops finish), but
         lifecycle timers beyond that point are not waited for.
         """
-        if self.injector is not None:
-            self.injector.arm()
+        self.injector.arm()
         self._inject_arrivals(trace)
         sampler = self.sim.every(
             self.config.memory_sample_interval_ms, self._sample_memory
@@ -317,11 +306,10 @@ class Platform:
         self.metrics.anchor_index_cache_misses = sum(
             a.anchor_index_cache.misses for a in agents
         )
-        if self.faults is not None:
-            transients = self.faults.transients
-            self.metrics.rpc_retries = transients.retried_attempts
-            self.metrics.retry_backoff_ms = transients.charged_backoff_ms
-            self.metrics.rpc_exhausted_ops = transients.exhausted_ops
+        transients = self.faults.transients
+        self.metrics.rpc_retries = transients.retried_attempts
+        self.metrics.retry_backoff_ms = transients.charged_backoff_ms
+        self.metrics.rpc_exhausted_ops = transients.exhausted_ops
         return RunReport(
             platform_name=self.name,
             config=self.config,

@@ -20,7 +20,6 @@ against the counter on every read when ``verify_accounting`` is set
 from __future__ import annotations
 
 import enum
-import heapq
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -47,21 +46,9 @@ class EvictionOrder(enum.Enum):
 
 
 def rank_victims(
-    victims: list[Sandbox],
-    order: EvictionOrder = EvictionOrder.LRU,
-    *,
-    limit: int | None = None,
+    victims: list[Sandbox], order: EvictionOrder = EvictionOrder.LRU
 ) -> list[Sandbox]:
-    """Sort eviction ``victims`` into the configured order.
-
-    ``limit`` returns only the first ``limit`` victims — computed with a
-    heap selection instead of a full sort, so a permanently full node's
-    placement decisions cost ``O(idle)`` rather than
-    ``O(idle log idle)`` and the ranked list handed downstream stays
-    bounded.  The result is always an exact prefix of the unlimited
-    order (``heapq.nsmallest`` matches ``sorted(...)[:limit]``), so a
-    cap never changes *which* sandbox is evicted next.
-    """
+    """Sort eviction ``victims`` into the configured order."""
     if order is EvictionOrder.LRU:
         key = lambda s: (s.last_used_at, s.sandbox_id)  # noqa: E731
     elif order is EvictionOrder.LARGEST_FIRST:
@@ -70,8 +57,6 @@ def rank_victims(
         key = lambda s: stable_seed("evict", s.sandbox_id, s.last_used_at)  # noqa: E731
     else:  # pragma: no cover - exhaustive enum
         raise AssertionError(f"unhandled eviction order {order}")
-    if limit is not None and len(victims) > limit:
-        return heapq.nsmallest(limit, victims, key=key)
     return sorted(victims, key=key)
 
 
@@ -249,15 +234,8 @@ class Node:
     # ---------------------------------------------------------- eviction
 
     def eviction_candidates(
-        self,
-        order: EvictionOrder = EvictionOrder.LRU,
-        *,
-        limit: int | None = None,
+        self, order: EvictionOrder = EvictionOrder.LRU
     ) -> list[Sandbox]:
-        """Idle, non-base sandboxes in eviction order (default LRU).
-
-        ``limit`` returns only the first ``limit`` victims of the order
-        (see :func:`rank_victims`).
-        """
+        """Idle, non-base sandboxes in eviction order (default LRU)."""
         victims = [s for s in self.sandboxes.values() if s.evictable]
-        return rank_victims(victims, order, limit=limit)
+        return rank_victims(victims, order)

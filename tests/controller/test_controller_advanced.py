@@ -150,6 +150,9 @@ class TestMultiCandidateDispatch:
         def flaky_restore(table, *, verify=False):
             calls["n"] += 1
             if calls["n"] == 1:
+                # The base node is dead, not partitioned: the controller
+                # purges the candidate instead of keeping it for a heal.
+                platform.faults.health.down_nodes.add(1)
                 raise PeerUnavailable(1)
             return real_restore(table, verify=verify)
 

@@ -1,11 +1,9 @@
-"""Tripwire tests for the bounded eviction-candidate scan.
+"""Tripwire tests for eviction-candidate scan volume.
 
-A permanently full node used to re-rank its entire idle population on
-every cold-start placement (quadratic thrash at cluster scale).  These
-tests pin the fix: ``eviction_scan_cap`` bounds the candidates ranked
-per decision, the capped ranking is an exact prefix of the unlimited
-order (so eviction outcomes are identical), and the scan volume is
-observable through ``metrics.eviction_candidates_scanned``.
+A permanently full node ranks its idle population on every cold-start
+placement; ``metrics.eviction_candidates_scanned`` counts the ranked
+candidates, so a regression toward quadratic scan thrash shows up in
+metrics, not just wall time.
 """
 
 from __future__ import annotations
@@ -17,16 +15,13 @@ from repro.sandbox.node import EvictionOrder, rank_victims
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 
-CAP = 2
 
-
-def _run(trace, suite, cap: int):
+def _run(trace, suite):
     cluster = ClusterConfig(
         nodes=1,
         node_memory_mb=160.0,
         content_scale=1.0 / 256.0,
         seed=7,
-        eviction_scan_cap=cap,
     )
     # Long idle period: idle sandboxes stay WARM (never dedup away), so
     # the large arrivals must evict rather than find freed memory.
@@ -55,54 +50,15 @@ def _pressure_trace() -> Trace:
 
 
 class TestEvictionScanCap:
-    def test_capped_scan_is_bounded_and_outcome_identical(self):
-        suite = FunctionBenchSuite.subset(["Vanilla", "RNNModel", "ModelTrain"])
-        trace = _pressure_trace()
-        _, unbounded = _run(trace, suite, cap=0)
-        _, capped = _run(trace, suite, cap=CAP)
-
-        # The workload genuinely exercises eviction under pressure.
-        assert unbounded.metrics.evictions > 0
-        assert unbounded.metrics.eviction_candidates_scanned > 0
-
-        # Tripwire: the cap strictly reduces how many candidates are
-        # ranked (the full population exceeds the cap at some decision).
-        assert (
-            capped.metrics.eviction_candidates_scanned
-            < unbounded.metrics.eviction_candidates_scanned
-        )
-
-        # The capped ranking is a prefix of the unlimited order, so the
-        # run's observable behaviour is unchanged.
-        assert capped.metrics.evictions == unbounded.metrics.evictions
-        assert {
-            rid: record.start_type for rid, record in capped.metrics.requests.items()
-        } == {
-            rid: record.start_type
-            for rid, record in unbounded.metrics.requests.items()
-        }
-        assert all(
-            record.completion_ms is not None
-            for record in capped.metrics.requests.values()
-        )
-
     def test_scan_volume_observable_without_cap(self):
         suite = FunctionBenchSuite.subset(["Vanilla", "RNNModel", "ModelTrain"])
-        _, report = _run(_pressure_trace(), suite, cap=0)
-        # Unbounded runs still count ranked candidates, so regressions
-        # toward quadratic scans show up in metrics, not just wall time.
+        _, report = _run(_pressure_trace(), suite)
+        # The workload genuinely exercises eviction under pressure, and
+        # every ranked candidate is counted.
+        assert report.metrics.evictions > 0
         assert report.metrics.eviction_candidates_scanned >= report.metrics.evictions
 
 
 class TestRankVictims:
-    def test_capped_ranking_is_exact_prefix(self):
-        suite = FunctionBenchSuite.subset(["Vanilla", "RNNModel", "ModelTrain"])
-        platform, _ = _run(_pressure_trace(), suite, cap=0)
-        node = platform.nodes[0]
-        for order in EvictionOrder:
-            full = node.eviction_candidates(order)
-            for limit in (1, 2, len(full), len(full) + 3):
-                assert node.eviction_candidates(order, limit=limit) == full[:limit]
-
     def test_rank_victims_empty(self):
-        assert rank_victims([], EvictionOrder.LRU, limit=3) == []
+        assert rank_victims([], EvictionOrder.LRU) == []

@@ -1,9 +1,9 @@
 """Failure injection: unreachable base-page nodes (Section 4.1.3).
 
 When the node holding a dedup sandbox's base pages becomes unreachable,
-restores must fail fast and fall back to a cold start, purging the
-unrecoverable dedup state; dedup ops must stop choosing base pages on
-failed nodes.
+restores must fail fast and fall back to a cold start; the dedup state
+survives a link partition and is purged once the base node dies.  Dedup
+ops must stop choosing base pages on failed nodes.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from repro.core.agent import DedupAgent, PageKind
 from repro.core.costs import CostModel
 from repro.core.policy import MedesPolicyConfig
 from repro.core.registry import FingerprintRegistry, PageRef
+from repro.faults.schedule import FaultSchedule, FaultsConfig, LinkPartition, NodeCrash
 from repro.memory.fingerprint import page_fingerprint
 from repro.platform.config import ClusterConfig
 from repro.platform.metrics import StartType
@@ -141,7 +142,6 @@ def tiered_harness(linalg_profile):
         fabric=fabric,
         costs=CostModel(),
         content_scale=SCALE,
-        tiering=True,
     )
     base_image = linalg_profile.synthesize(900, content_scale=SCALE, executed=True)
     checkpoint = BaseCheckpoint(
@@ -215,15 +215,35 @@ class TestTieredAgentUnderFailure:
 
 
 class TestPlatformFallback:
-    def test_cold_start_fallback_and_purge(self):
-        """End to end: dedup sandbox whose base node dies mid-run."""
+    """End to end through the fault layer: a restore whose base pages sit
+    behind a partitioned link falls back to a cold start and keeps the
+    dedup state (the base still exists); the base node's crash then
+    purges that now-unrecoverable state."""
+
+    #: Every link partitions at 30 s (after the dedup state exists) and
+    #: heals at 90 s; the base's node 0 crashes at 61 s, after the
+    #: fallback at 60 s.
+    FAULTS = FaultsConfig(
+        schedule=FaultSchedule(
+            link_partitions=tuple(
+                LinkPartition(at_ms=30_000.0, peer=peer, heal_at_ms=90_000.0)
+                for peer in (0, 1)
+            ),
+            node_crashes=(NodeCrash(at_ms=61_000.0, node_id=0),),
+        )
+    )
+
+    def _run(self, **overrides):
         suite = FunctionBenchSuite.subset(["Vanilla"])
         config = ClusterConfig(
             nodes=2, node_memory_mb=512.0, content_scale=SCALE, seed=4,
-            verify_restores=True,
+            verify_restores=True, faults=self.FAULTS, **overrides,
         )
+        # Request 2 takes the warm base sandbox; request 3 can only be
+        # served by the dedup sandbox, whose base pages are unreachable.
         trace = Trace.from_arrivals(
-            [(0.0, "Vanilla"), (1.0, "Vanilla"), (60_000.0, "Vanilla")]
+            [(0.0, "Vanilla"), (1.0, "Vanilla"), (60_000.0, "Vanilla"),
+             (60_000.5, "Vanilla")]
         )
         platform = build_platform(
             PlatformKind.MEDES,
@@ -231,60 +251,48 @@ class TestPlatformFallback:
             suite,
             medes=MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0),
         )
-        # Fail every remote peer once the dedup state exists (t=30 s),
-        # so the dedup start at t=60 s cannot read remote base pages.
-        def fail_all_remotes():
-            for node in platform.nodes:
-                platform.fabric.fail_peer(node.node_id)
+        kept: list[Sandbox] = []
 
-        platform.sim.at(30_000.0, fail_all_remotes)
+        def dedup_sandboxes_after_fallback():
+            kept.extend(
+                sandbox
+                for node in platform.nodes
+                for sandbox in node.sandboxes.values()
+                if sandbox.state is SandboxState.DEDUP
+            )
+
+        platform.sim.at(60_000.7, dedup_sandboxes_after_fallback)
         report = platform.run(trace)
+        return platform, report, kept
 
-        final = report.metrics.requests[2]
-        assert final.completion_ms is not None
-        # Either the dedup table was entirely node-local (restore fine)
-        # or the platform fell back; in the fallback case the request is
-        # a cold start and no dedup sandbox remains.
-        if final.start_type is StartType.COLD:
-            for node in platform.nodes:
-                for sandbox in node.sandboxes.values():
-                    assert sandbox.state is not SandboxState.DEDUP
+    def _assert_fallback_then_purge(self, platform, report, kept):
+        metrics = report.metrics
+        assert all(r.completion_ms is not None for r in metrics.requests.values())
+        # The restore was attempted, failed on the partitioned link and
+        # fell back to a cold start.
+        assert metrics.requests[2].start_type is StartType.WARM
+        assert metrics.requests[3].start_type is StartType.COLD
+        assert metrics.restore_cold_fallbacks == 1
+        assert platform.fabric.stats.failed_reads >= 1
+        # A partition keeps the dedup sandbox: its base still exists.
+        assert kept, "the partitioned dedup sandbox must survive the fallback"
+        # The base node's crash purged it, and no dedup state remains.
+        assert all(sandbox.state is SandboxState.PURGED for sandbox in kept)
+        assert metrics.crash_reconciled_refs > 0
+        for node in platform.nodes:
+            for sandbox in node.sandboxes.values():
+                assert sandbox.state is not SandboxState.DEDUP
         for checkpoint in platform.store:
             assert checkpoint.refcount >= 0
+
+    def test_cold_start_fallback_and_purge(self):
+        self._assert_fallback_then_purge(*self._run())
 
     def test_cold_start_fallback_with_tiering(self):
-        """The tiered platform falls back to cold identically when the
-        base node dies — SSD residency shares the node's failure domain."""
-        suite = FunctionBenchSuite.subset(["Vanilla"])
-        config = ClusterConfig(
-            nodes=2, node_memory_mb=512.0, content_scale=SCALE, seed=4,
-            verify_restores=True, checkpoint_tiering=True,
-        )
-        trace = Trace.from_arrivals(
-            [(0.0, "Vanilla"), (1.0, "Vanilla"), (60_000.0, "Vanilla")]
-        )
-        platform = build_platform(
-            PlatformKind.MEDES,
-            config,
-            suite,
-            medes=MedesPolicyConfig(idle_period_ms=5_000.0, alpha=25.0),
-        )
-
-        def fail_all_remotes():
-            for node in platform.nodes:
-                platform.fabric.fail_peer(node.node_id)
-
-        platform.sim.at(30_000.0, fail_all_remotes)
-        report = platform.run(trace)
-
-        final = report.metrics.requests[2]
-        assert final.completion_ms is not None
-        if final.start_type is StartType.COLD:
-            for node in platform.nodes:
-                for sandbox in node.sandboxes.values():
-                    assert sandbox.state is not SandboxState.DEDUP
-        for checkpoint in platform.store:
-            assert checkpoint.refcount >= 0
+        """The tiered platform falls back and purges identically — SSD
+        residency shares the node's failure domain."""
+        platform, report, kept = self._run(checkpoint_tiering=True)
+        self._assert_fallback_then_purge(platform, report, kept)
         # Tier accounting never underflowed or leaked.
         from repro.storage.store import TieredCheckpointStore
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.controller.baselines import AdaptiveKeepAlivePolicy, FixedKeepAlivePolicy
 from repro.core.policy import MedesPolicy
+from repro.faults.schedule import FaultsConfig
 from repro.platform.config import ClusterConfig, ColdStartMode
 from repro.platform.platform import PlatformKind, build_platform
 from repro.workload.functionbench import FunctionBenchSuite
@@ -30,6 +31,19 @@ class TestBuildPlatform:
         assert set(platform.controller.stats) == {"Vanilla"}
         assert len(platform.nodes) == 2
         assert len(platform.agents) == 2
+
+    @pytest.mark.parametrize("kind", list(PlatformKind))
+    def test_fault_layer_always_wired(self, kind, small_config, tiny_suite):
+        """The default (empty) fault layer is built on every platform and
+        shared by the controller and every agent."""
+        platform = build_platform(kind, small_config, tiny_suite)
+        assert small_config.faults == FaultsConfig()
+        assert platform.faults.config is small_config.faults
+        assert platform.injector.runtime is platform.faults
+        assert all(
+            agent.transients is platform.faults.transients
+            for agent in platform.agents.values()
+        )
 
     def test_fixed_wiring(self, small_config, tiny_suite):
         platform = build_platform(

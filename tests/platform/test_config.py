@@ -43,7 +43,7 @@ class TestValidation:
             {"content_scale": 0.0},
             {"content_scale": 1.5},
             {"base_threshold": 0},
-            {"eviction_scan_cap": -1},
+            {"faults": None},
             {"memory_sample_interval_ms": 0.0},
             {"memory_sample_interval_ms": -10.0},
             {"base_savings_threshold": -0.1},

@@ -9,12 +9,16 @@ import pytest
 import numpy as np
 
 from repro.platform.metrics import (
+    BaseOpRecord,
     ColumnTimeline,
     FaultEventRecord,
     MemorySample,
     RequestRecord,
     RunMetrics,
     StartType,
+    TemplateForkRecord,
+    TemplateOpRecord,
+    TierOpRecord,
     TierSample,
     improvement_factors,
 )
@@ -341,6 +345,49 @@ class TestLatencyPercentile:
         finished(metrics, 1, "a", arrival=1.0, e2e=30.0, start=StartType.WARM)
         assert len(metrics.completion_timeline) == 1
         assert metrics.latency_percentile(50) == 30.0
+
+
+class TestDerivedCounters:
+    def test_counters_follow_op_records(self):
+        """The counters that restate op records are read off them."""
+        metrics = RunMetrics(platform_name="test")
+        metrics.base_ops += [
+            BaseOpRecord("f", sandbox_id, 0.0, checkpoint_ms=1.0, register_ms=1.0)
+            for sandbox_id in (1, 2)
+        ]
+        for kind, subject, count in (
+            ("demote", "checkpoint", 3),
+            ("promote", "checkpoint", 1),
+            ("demote", "table", 2),
+            ("promote", "table", 4),
+        ):
+            metrics.tier_ops += [
+                TierOpRecord(0.0, kind, subject, "local-ssd", nbytes=1, cost_ms=1.0)
+            ] * count
+        metrics.template_ops += [
+            TemplateOpRecord(
+                "f", 1, 0.0, duration_ms=1.0, publish_ms=0.0,
+                segments_created=created, segments_shared=shared,
+                published_bytes=0, savings_fraction=0.5, retained_full_bytes=1,
+            )
+            for created, shared in ((2, 0), (1, 3))
+        ]
+        metrics.template_forks += [
+            TemplateForkRecord(
+                "f", 1, 0.0, promote_ms=0.0, apply_ms=1.0, restore_ms=1.0,
+                promoted_bytes=promoted, patched_pages=0, unique_pages=0,
+                zero_pages=0,
+            )
+            for promoted in (4096, 0, 512)
+        ]
+        assert metrics.bases_created == 2
+        assert metrics.checkpoint_demotions == 3
+        assert metrics.checkpoint_promotions == 1
+        assert metrics.table_demotions == 2
+        assert metrics.table_promotions == 4
+        assert metrics.template_segments_created == 3
+        assert metrics.template_segments_shared == 3
+        assert metrics.template_promote_bytes == 4608
 
 
 class TestImprovementFactors:
