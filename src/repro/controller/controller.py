@@ -816,7 +816,6 @@ class ClusterController:
             return False
         segment = victims[0]
         self.templates.drop_replica(node.node_id, segment)
-        self.templates.replica_evictions += 1
         node.unpin_template(segment.segment_id)
         self.metrics.template_replica_evictions += 1
         return True

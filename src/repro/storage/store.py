@@ -90,8 +90,6 @@ class TieredCheckpointStore(CheckpointStore):
         }
         # sandbox_id -> (node_id, nbytes) of SSD-parked dedup tables.
         self._tables: dict[int, tuple[int, int]] = {}
-        self.demotions = 0
-        self.promotions = 0
 
     # ---------------------------------------------------- checkpoint tiers
 
@@ -138,7 +136,6 @@ class TieredCheckpointStore(CheckpointStore):
             cost_ms = self.config.ssd_write_ms(nbytes)
         else:
             return None
-        self.demotions += 1
         return TierMove(tier=checkpoint.tier, cost_ms=cost_ms, nbytes=nbytes)
 
     def promote_checkpoint(self, checkpoint: BaseCheckpoint) -> TierMove:
@@ -161,7 +158,6 @@ class TieredCheckpointStore(CheckpointStore):
             cost_ms = self.config.ssd_read_ms(nbytes)
         account.release(nbytes)
         checkpoint.tier = StorageTier.NODE_DRAM
-        self.promotions += 1
         return TierMove(tier=StorageTier.NODE_DRAM, cost_ms=cost_ms, nbytes=nbytes)
 
     def fetch_cost_ms(self, checkpoint: BaseCheckpoint, nbytes: int) -> float:
@@ -212,7 +208,6 @@ class TieredCheckpointStore(CheckpointStore):
             raise RuntimeError(f"sandbox {sandbox_id} table already demoted")
         self.ssd[node_id].charge(nbytes)
         self._tables[sandbox_id] = (node_id, nbytes)
-        self.demotions += 1
         return self.config.ssd_write_ms(nbytes)
 
     def table_location(self, sandbox_id: int) -> tuple[int, int] | None:
@@ -227,7 +222,6 @@ class TieredCheckpointStore(CheckpointStore):
         except KeyError:
             raise RuntimeError(f"sandbox {sandbox_id} table not demoted") from None
         self.ssd[node_id].release(nbytes)
-        self.promotions += 1
         return self.config.ssd_read_ms(nbytes)
 
     def release_table(self, sandbox_id: int) -> None:

@@ -145,7 +145,6 @@ class TemplateCatalog:
         """Shareable regions served by an already-published segment."""
         self.promotions = 0
         self.promoted_bytes = 0
-        self.replica_evictions = 0
 
     # ---------------------------------------------------------- identity
 

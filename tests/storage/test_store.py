@@ -129,12 +129,12 @@ class TestCheckpointMoves:
         store.remove(checkpoint.checkpoint_id)
         assert store.remote_dram.used_bytes == 0
 
-    def test_counters(self, store, checkpoint):
+    def test_round_trip_restores_dram_residency(self, store, checkpoint):
         store.add(checkpoint)
         store.demote_checkpoint(checkpoint)
         store.promote_checkpoint(checkpoint)
-        assert store.demotions == 1
-        assert store.promotions == 1
+        assert checkpoint.tier is StorageTier.NODE_DRAM
+        assert store.remote_dram.used_bytes == 0
 
 
 class TestDedupColdTables:
