@@ -1,15 +1,30 @@
 """The cluster controller: scheduling, lifecycle, and dedup orchestration.
 
 One :class:`ClusterController` drives a whole platform run on the event
-simulator.  It implements the paper's Section-3 workflows:
+simulator.  It implements the paper's Section-3 workflows as two ordered
+ladders around one parked state:
 
-* **dispatch** — an incoming request goes to an idle warm sandbox of its
-  function if one exists, else to a dedup sandbox (restore op), else a
-  new sandbox is spawned cold on the least-used node (evicting idle
-  sandboxes under memory pressure, queueing if nothing can fit);
+* **start ladder** — an incoming request goes to an idle warm sandbox of
+  its function if one exists, else to a parked sandbox (a template fork
+  first, then a dedup restore, most recently used first within each),
+  else to a sandbox whose dedup op is still in flight (the op is
+  aborted), else a new sandbox is spawned cold on the least-used node,
+  queueing if nothing can fit;
+* **reclaim ladder** — placement under memory pressure first drops a
+  cold template replica, then offers the chosen idle victim to the
+  reclaim rungs built from the stores that exist (demote its dedup table
+  to SSD; park it as a template delta; spill its delta to SSD), and
+  purges it only when no rung takes it;
+* **parked lifecycle** — a dedup op or a template park shrinks an idle
+  warm sandbox to a table (``Sandbox.dedup_table``); the table may move
+  to SSD and back; a start restores it (dedup) or forks it (template);
+  a purge releases it.  Each step is written once for both table kinds,
+  which differ only in what the table references (base checkpoints or
+  template segments) and where it is restored from;
 * **lifecycle** — after execution a sandbox turns warm; at idle-period
-  expiry the policy is consulted (keep warm / deduplicate / demarcate as
-  base); keep-alive and keep-dedup expiries purge sandboxes;
+  expiry the policy is consulted (keep warm / template / deduplicate /
+  demarcate as base); keep-alive and keep-dedup expiries purge
+  sandboxes;
 * **dedup plumbing** — base-checkpoint creation and registration,
   refcount acquire/release around dedup tables, and base retirement.
 
@@ -127,8 +142,9 @@ class ClusterController:
         self._faults = faults
         self.templates = templates
         """Cluster-wide template catalog (DESIGN.md §14; None unless
-        ``template_sharing`` is on — every template code path below is
-        gated on it, so the off configuration is bit-identical)."""
+        ``template_sharing`` is on).  Without it no template delta is
+        ever parked, so the template rungs and table branches below
+        never run and the off configuration is bit-identical."""
         #: request_id -> (completion timer, sandbox, request, record) of
         #: every request with a scheduled future event (startup or exec);
         #: a node crash cancels and re-dispatches the affected entries.
@@ -146,6 +162,18 @@ class ClusterController:
             store if isinstance(store, TieredCheckpointStore) else None
         )
         """The store when it tiers checkpoints (DESIGN.md §9), else None."""
+        self._reclaim_rungs = (
+            *((self._demote_table,) if self.tiered_store is not None else ()),
+            *(
+                (self._park_victim_as_template, self._spill_delta)
+                if templates is not None
+                else ()
+            ),
+        )
+        """The reclaim ladder's rungs between the replica drop and the
+        purge, in order; each takes an eviction victim and returns True
+        when it freed the victim's DRAM without destroying its state.
+        Only the demote and spill rungs ever set ``Sandbox.table_tier``."""
         self._cold: dict[int, Sandbox] = {}
         """Dedup sandboxes whose table is parked on SSD, in demote order
         (the SSD-pressure LRU; tiering only)."""
@@ -316,7 +344,7 @@ class ClusterController:
     def _dispatch_candidates(
         self, function: str
     ) -> tuple[list[Sandbox], list[Sandbox], list[Sandbox]]:
-        """(idle-warm, restorable-dedup, abortable-deduping) candidates,
+        """(idle-warm, restorable-parked, abortable-deduping) candidates,
         read from the maintained candidate sets; callers impose the
         orderings, so the sets' iteration order never matters."""
         warm = list(self._index.idle_warm.get(function, {}).values())
@@ -332,40 +360,31 @@ class ClusterController:
         self, request: Request, record: RequestRecord, *, desperate: bool = False
     ) -> bool:
         function = request.function
-        warm_candidates, dedup_candidates, deduping = self._dispatch_candidates(function)
+        warm_candidates, parked, deduping = self._dispatch_candidates(function)
 
         if warm_candidates:
             sandbox = max(warm_candidates, key=lambda s: (s.last_used_at, s.sandbox_id))
             self._start_warm(sandbox, request, record)
             return True
 
-        dedup_candidates.sort(key=lambda s: (s.last_used_at, s.sandbox_id), reverse=True)
-        if self.templates is not None:
-            # Template forks are the cheaper restore (no base fetches),
-            # so they outrank dedup restores in the start ladder: warm >
-            # template > dedup > cold.  Stable partition, so within each
-            # flavour the MRU order above is preserved.
-            dedup_candidates = [
-                s
-                for s in dedup_candidates
-                if isinstance(s.dedup_table, TemplateDeltaTable)
-            ] + [
-                s
-                for s in dedup_candidates
-                if not isinstance(s.dedup_table, TemplateDeltaTable)
-            ]
-        failed_dedup = False
-        for sandbox in dedup_candidates:
-            if isinstance(sandbox.dedup_table, TemplateDeltaTable):
-                started = self._start_template(sandbox, request, record)
-            else:
-                started = self._start_dedup(sandbox, request, record)
-            if started:
+        # Template forks are the cheaper restore (no base fetches), so
+        # they outrank dedup restores: warm > template > dedup > cold,
+        # most recently used first within each kind.
+        parked.sort(
+            key=lambda s: (
+                not isinstance(s.dedup_table, TemplateDeltaTable),
+                -s.last_used_at,
+                -s.sandbox_id,
+            )
+        )
+        failed_start = False
+        for sandbox in parked:
+            if self._start_parked(sandbox, request, record):
                 return True
-            failed_dedup = True
-            # That candidate's restore failed (retry storm, partition,
-            # or unreachable bases past rehoming); try the next intact
-            # dedup sandbox before the remaining options.
+            failed_start = True
+            # That candidate's restore or fork failed (retry storm,
+            # partition, or unreachable bases past rehoming); try the
+            # next parked sandbox before the remaining options.
 
         # A sandbox mid-dedup is cheaper to reclaim than a cold start:
         # abort the (background) dedup op and serve the request warm.
@@ -376,7 +395,7 @@ class ClusterController:
             return True
 
         started = self._start_cold(request, record, desperate=desperate)
-        if started and failed_dedup:
+        if started and failed_start:
             # The restore fallback chain bottomed out at a cold start.
             self.metrics.restore_cold_fallbacks += 1
         return started
@@ -390,44 +409,91 @@ class ClusterController:
         record.startup_ms = self.config.costs.warm_start_ms + record.retry_penalty_ms
         self._run_request(sandbox, request, record)
 
-    def _start_dedup(self, sandbox: Sandbox, request: Request, record: RequestRecord) -> bool:
-        """Serve ``request`` by restoring a dedup sandbox.
+    def _start_parked(self, sandbox: Sandbox, request: Request, record: RequestRecord) -> bool:
+        """Serve ``request`` from a parked sandbox: fork its template
+        delta or restore its dedup table, then run it once the startup
+        elapses.
 
-        Returns False when the restore cannot proceed, after walking the
-        fallback chain (DESIGN.md §11): transient fetch failures already
-        retried inside the agent; a dead base peer triggers one rehoming
-        attempt onto surviving replicas of the same pages
-        (``max_refs_per_digest`` gives the candidates); only then is the
-        broken dedup sandbox purged (its state cannot be reconstructed)
-        and the caller falls through to another start path (Section
-        4.1.3's base-unavailability concern).
+        Returns False, leaving the request to the next rung, when the
+        kind-specific start cannot proceed (see :meth:`_restore` and
+        :meth:`_fork`).
         """
-        assert sandbox.dedup_table is not None
+        table = sandbox.dedup_table
+        assert table is not None
+        start = self._fork if isinstance(table, TemplateDeltaTable) else self._restore
+        started = start(sandbox, table, record)
+        if started is None:
+            return False
+        start_type, image, startup_ms = started
+        self._timers_for(sandbox).cancel_all()
+        sandbox.busy_request_id = request.request_id
+        sandbox.transition(SandboxState.RESTORING, self.sim.now)
+        if sandbox.function in self.stats:
+            # Forks and restores feed one startup estimator: both are
+            # the policy's "parked restart" latency.
+            self.stats[sandbox.function].record_dedup_start(startup_ms)
+        record.start_type = start_type
+        record.queued_ms = self.sim.now - record.arrival_ms
+        record.startup_ms = startup_ms
+
+        def finish_start() -> None:
+            sandbox.image = image
+            if start_type is StartType.TEMPLATE and table.cow_shareable_full_bytes > 0:
+                # The fork maps clean template pages copy-on-write from
+                # the node's replicas: the sandbox is charged only for
+                # the pages it owns, and the shared replicas stay pinned
+                # until it parks or dies (see _end_template_sharing).
+                sandbox.template_cow_bytes = table.cow_shareable_full_bytes
+                sandbox.template_share_keys = table.segment_keys
+                self.templates.add_sharers(table.segment_keys, sandbox.node_id)
+            # Transition out of RESTORING while the table is still set:
+            # accounting observers recompute memory_bytes() on every
+            # transition, and a table-less RESTORING sandbox has no
+            # defined footprint.
+            sandbox.transition(SandboxState.RUNNING, self.sim.now)
+            sandbox.dedup_table = None
+            self._release_parked(sandbox, table)
+            self._run_request(sandbox, request, record, already_started=True)
+
+        timer = self.sim.after(startup_ms, finish_start)
+        self._inflight[request.request_id] = (timer, sandbox, request, record)
+        return True
+
+    def _restore(self, sandbox: Sandbox, table: DedupPageTable, record: RequestRecord):
+        """Dedup restore of a parked table: ``(StartType.DEDUP, image,
+        startup_ms)``, or None when the restore cannot proceed.
+
+        None comes after walking the fallback chain (DESIGN.md §11):
+        transient fetch failures already retried inside the agent; a
+        dead base peer triggers one rehoming attempt onto surviving
+        replicas of the same pages (``max_refs_per_digest`` gives the
+        candidates); only then is the broken dedup sandbox purged (its
+        state cannot be reconstructed) and the caller falls through to
+        another start path (Section 4.1.3's base-unavailability concern).
+        """
         agent = self.agents[sandbox.node_id]
         promote_ms = 0.0
         if self.tiered_store is not None:
             # Read a parked ("dedup-cold") table back from SSD and bring
             # hot demoted checkpoints home before the restore proper.
             promote_ms += self._promote_table(sandbox)
-            promote_ms += self._promote_checkpoints(sandbox.dedup_table)
+            promote_ms += self._promote_checkpoints(table)
         rehome_attempted = False
         while True:
             try:
-                outcome = agent.restore(
-                    sandbox.dedup_table, verify=self.config.verify_restores
-                )
+                outcome = agent.restore(table, verify=self.config.verify_restores)
             except RetryExhausted as exc:
                 # Transient RPC storm: the attempts' time is real latency
                 # the request pays on whatever start path succeeds next.
                 # The sandbox itself is intact — keep it restorable.
                 record.retry_penalty_ms += exc.charged_ms
-                return False
+                return None
             except PeerUnavailable as exc:
                 if self._faults.health.node_up(exc.peer):
                     # Link partition, not a dead node: the base state
                     # still exists, so keep the sandbox for post-heal.
-                    return False
-                dead = self._unreachable_refs(sandbox.dedup_table)
+                    return None
+                dead = self._unreachable_refs(table)
                 if (
                     not rehome_attempted
                     and dead
@@ -436,14 +502,10 @@ class ClusterController:
                     rehome_attempted = True
                     continue
                 self._purge(sandbox, reason="base-unavailable")
-                return False
+                return None
             else:
                 break
-        self._timers_for(sandbox).cancel_all()
-        sandbox.busy_request_id = request.request_id
-        sandbox.transition(SandboxState.RESTORING, self.sim.now)
         timings = outcome.timings
-        startup_ms = timings.total_ms + promote_ms + record.retry_penalty_ms
         self.metrics.restore_ops.append(
             RestoreOpRecord(
                 function=sandbox.function,
@@ -463,67 +525,35 @@ class ClusterController:
                 retries=timings.retries,
             )
         )
-        if sandbox.function in self.stats:
-            self.stats[sandbox.function].record_dedup_start(startup_ms)
-        record.start_type = StartType.DEDUP
-        record.queued_ms = self.sim.now - record.arrival_ms
-        record.startup_ms = startup_ms
+        startup_ms = timings.total_ms + promote_ms + record.retry_penalty_ms
+        return StartType.DEDUP, outcome.image, startup_ms
 
-        def finish_restore() -> None:
-            table = sandbox.dedup_table
-            assert table is not None
-            sandbox.image = outcome.image
-            # Transition out of RESTORING while the table is still set:
-            # accounting observers recompute memory_bytes() on every
-            # transition, and a table-less RESTORING sandbox has no
-            # defined footprint.
-            sandbox.transition(SandboxState.RUNNING, self.sim.now)
-            sandbox.dedup_table = None
-            self._release_base_refs(table)
-            self.basemgr.note_dedup(sandbox.function, -1)
-            self._run_request(sandbox, request, record, already_started=True)
-
-        timer = self.sim.after(startup_ms, finish_restore)
-        self._inflight[request.request_id] = (timer, sandbox, request, record)
-        return True
-
-    def _start_template(
-        self, sandbox: Sandbox, request: Request, record: RequestRecord
-    ) -> bool:
-        """Serve ``request`` by forking a template-parked sandbox.
+    def _fork(self, sandbox: Sandbox, table: TemplateDeltaTable, record: RequestRecord):
+        """Template fork of a parked delta: ``(StartType.TEMPLATE, image,
+        startup_ms)``, or None when the promote's transient-RPC plan is
+        exhausted — the sandbox then stays parked and intact.
 
         The fork promotes any segment the node lacks (charged pool read,
         pinned to the node's DRAM as a fork cache) and applies the
-        per-function delta over the replicas.  Returns False when the
-        promote's transient-RPC plan is exhausted — the sandbox stays
-        parked and intact, and the caller walks down the ladder
-        (another candidate, then dedup, then cold).
+        per-function delta over the replicas.
         """
-        table = sandbox.dedup_table
-        assert isinstance(table, TemplateDeltaTable)
-        assert self.templates is not None
-        agent = self.agents[sandbox.node_id]
         try:
-            outcome = agent.fork_restore(
+            outcome = self.agents[sandbox.node_id].fork_restore(
                 table, now=self.sim.now, verify=self.config.verify_restores
             )
         except RetryExhausted as exc:
             record.retry_penalty_ms += exc.charged_ms
             self.metrics.template_fork_fallbacks += 1
-            return False
-        # A spilled ("template-cold") delta reads back from the pool
-        # first — charged into the fork's promote leg, after the fork is
-        # known to proceed so a failed attempt leaves the spill intact.
+            return None
+        # A spilled ("template-cold") delta reads back from SSD first —
+        # charged into the fork's promote leg, after the fork is known
+        # to proceed so a failed attempt leaves the spill intact.
         unspill_ms = self._unspill_delta(sandbox)
         node = self.nodes[sandbox.node_id]
         for segment in outcome.promoted:
             node.pin_template(segment.segment_id, segment.full_bytes)
         self.metrics.template_promotions += len(outcome.promoted)
-        self._timers_for(sandbox).cancel_all()
-        sandbox.busy_request_id = request.request_id
-        sandbox.transition(SandboxState.RESTORING, self.sim.now)
         timings = outcome.timings
-        startup_ms = timings.total_ms + unspill_ms + record.retry_penalty_ms
         self.metrics.template_forks.append(
             TemplateForkRecord(
                 function=sandbox.function,
@@ -541,38 +571,8 @@ class ClusterController:
                 cow_shared_bytes=table.cow_shareable_full_bytes,
             )
         )
-        if sandbox.function in self.stats:
-            # Template forks feed the same startup estimator as dedup
-            # restores: both are the policy's "parked restart" latency.
-            self.stats[sandbox.function].record_dedup_start(startup_ms)
-        record.start_type = StartType.TEMPLATE
-        record.queued_ms = self.sim.now - record.arrival_ms
-        record.startup_ms = startup_ms
-
-        def finish_fork() -> None:
-            table = sandbox.dedup_table
-            assert isinstance(table, TemplateDeltaTable)
-            assert self.templates is not None
-            sandbox.image = outcome.image
-            cow = table.cow_shareable_full_bytes
-            if cow > 0:
-                # The fork maps clean template pages copy-on-write from
-                # the node's replicas: the sandbox is charged only for
-                # the pages it owns, and the shared replicas stay pinned
-                # until it parks or dies (see _end_template_sharing).
-                sandbox.template_cow_bytes = cow
-                sandbox.template_share_keys = table.segment_keys
-                self.templates.add_sharers(table.segment_keys, sandbox.node_id)
-            # As in finish_restore: transition while the table is still
-            # set so accounting observers see a defined footprint.
-            sandbox.transition(SandboxState.RUNNING, self.sim.now)
-            sandbox.dedup_table = None
-            self.templates.release(table.segment_keys)
-            self._run_request(sandbox, request, record, already_started=True)
-
-        timer = self.sim.after(startup_ms, finish_fork)
-        self._inflight[request.request_id] = (timer, sandbox, request, record)
-        return True
+        startup_ms = timings.total_ms + unspill_ms + record.retry_penalty_ms
+        return StartType.TEMPLATE, outcome.image, startup_ms
 
     def _start_cold(
         self, request: Request, record: RequestRecord, *, desperate: bool = False
@@ -649,13 +649,11 @@ class ClusterController:
 
     def _evictable_sandboxes(self, node: Node) -> list[Sandbox]:
         """Node's purgeable idle victims, unranked."""
-        victims = [s for s in node.sandboxes.values() if s.evictable]
-        if self.tiered_store is not None or self.templates is not None:
-            # Dedup-cold / template-cold sandboxes hold no DRAM (their
-            # table lives on SSD or in the remote template pool); purging
-            # them frees nothing and destroys restorable state.
-            victims = [s for s in victims if s.table_tier is None]
-        return victims
+        # Sandboxes whose table a reclaim rung moved to SSD hold no DRAM;
+        # purging them frees nothing and destroys restorable state.
+        return [
+            s for s in node.sandboxes.values() if s.evictable and s.table_tier is None
+        ]
 
     def _unpinned_base_sandboxes(self, node: Node) -> list[Sandbox]:
         """Node's last-resort base victims (refcount 0), unranked."""
@@ -759,34 +757,10 @@ class ClusterController:
                     victim = next(
                         (v for v in victims if self._has_other_copy(v)), victim
                     )
-                if (
-                    self.tiered_store is not None
-                    and victim.state is SandboxState.DEDUP
-                    and self._demote_table(victim)
-                ):
-                    # Demote-before-purge: the table moved to SSD, its
-                    # DRAM is free and the sandbox stays restorable.
-                    continue
-                if (
-                    self.templates is not None
-                    and victim.state is SandboxState.WARM
-                    and self._park_victim_as_template(victim)
-                ):
-                    # Park-before-purge: the warm victim shrank to its
-                    # template delta, so its next start is a fork rather
-                    # than a cold start.  If the freed slack is still
-                    # not enough, the loop comes back around and the
-                    # spill rung below demotes the delta to the pool.
-                    continue
-                if (
-                    self.templates is not None
-                    and victim.state is SandboxState.DEDUP
-                    and self._spill_delta(victim)
-                ):
-                    # Spill-before-purge: the parked delta moved to the
-                    # remote-DRAM pool ("template-cold"), its node DRAM
-                    # is free, and the sandbox stays fork-restorable at
-                    # the charged pool-read cost.
+                if any(rung(victim) for rung in self._reclaim_rungs):
+                    # A rung freed the victim's DRAM and kept its state
+                    # restorable (see _reclaim_rungs); if that is still
+                    # not enough, the loop comes back around.
                     continue
                 self._purge(victim, reason="evicted")
                 self.metrics.evictions += 1
@@ -832,7 +806,7 @@ class ClusterController:
         the park runs synchronously because placement needs those bytes
         in this very round.  Returns False (victim untouched, caller
         purges) when the pool cannot take the segments or the publish's
-        transient-RPC plan is exhausted.
+        transient-RPC plan is exhausted, or when the victim is not warm.
 
         Last-copy gated, like the spill rung: parking a *redundant*
         warm victim trades its full footprint for a delta the function
@@ -842,19 +816,12 @@ class ClusterController:
         *up*.  Redundant victims purge outright, as the template-free
         controller would.
         """
-        assert self.templates is not None
-        if self._has_other_copy(sandbox):
+        if sandbox.state is not SandboxState.WARM or self._has_other_copy(sandbox):
             return False
-        self._ensure_image(sandbox)
-        agent = self.agents[sandbox.node_id]
-        try:
-            outcome = agent.templatize(sandbox)
-        except (TemplatePoolFull, RetryExhausted):
-            self.metrics.template_pool_rejections += 1
+        outcome = self._templatize(sandbox)
+        if outcome is None:
             return False
-        self._timers_for(sandbox).cancel_all()
-        sandbox.transition(SandboxState.DEDUPING, self.sim.now)
-        self._complete_templatize(sandbox, outcome, self.sim.now)
+        self._land_park(sandbox, outcome, self.sim.now)
         self.metrics.template_evict_parks += 1
         # The delta stays in node DRAM: the park already freed the gap
         # between the full footprint and the retained delta, and the
@@ -898,35 +865,15 @@ class ClusterController:
         make room (the coldest restorable state in the system); returns
         False when even that cannot fit the new delta.
         """
-        assert self.templates is not None
         table = sandbox.dedup_table
-        if (
-            sandbox.state is not SandboxState.DEDUP
-            or sandbox.busy_request_id is not None
-            or sandbox.table_tier is not None
-            or not isinstance(table, TemplateDeltaTable)
-        ):
+        if not self._parked_idle(sandbox) or not isinstance(table, TemplateDeltaTable):
             return False
         if self._has_other_copy(sandbox):
             return False  # redundant copy: purging it loses nothing
         nbytes = table.retained_full_bytes
         ssd = self._delta_ssd_account(sandbox.node_id)
-        while not ssd.fits(nbytes):
-            victim = next(
-                (s for s in self._spilled.values() if s.node_id == sandbox.node_id),
-                None,
-            )
-            if victim is None:
-                return False
-            self._purge(victim, reason="ssd-pressure")
-            if not (
-                sandbox.state is SandboxState.DEDUP
-                and sandbox.busy_request_id is None
-                and sandbox.table_tier is None
-            ):
-                # The purge re-entered the dispatcher and this
-                # sandbox was claimed for a fork meanwhile.
-                return False
+        if not self._make_ssd_room(sandbox, nbytes, ssd.fits, self._spilled):
+            return False
         ssd.charge(nbytes)
         self._timers_for(sandbox).cancel_all()
         sandbox.table_tier = StorageTier.LOCAL_SSD
@@ -934,6 +881,33 @@ class ClusterController:
         self._spilled[sandbox.sandbox_id] = sandbox
         self.metrics.template_delta_spills += 1
         self.metrics.template_delta_spill_bytes += nbytes
+        return True
+
+    def _parked_idle(self, sandbox: Sandbox) -> bool:
+        """Parked, unclaimed and still in DRAM: what the demote and spill
+        rungs may move to SSD."""
+        return (
+            sandbox.state is SandboxState.DEDUP
+            and sandbox.busy_request_id is None
+            and sandbox.table_tier is None
+        )
+
+    def _make_ssd_room(self, sandbox: Sandbox, nbytes: int, fits, parked) -> bool:
+        """Purge the node's oldest SSD-parked sandboxes in ``parked`` (an
+        SSD-pressure LRU) until ``fits(nbytes)``.
+
+        Returns False when no victim is left, or when a purge re-entered
+        the dispatcher and ``sandbox`` was claimed for a start meanwhile.
+        """
+        while not fits(nbytes):
+            victim = next(
+                (s for s in parked.values() if s.node_id == sandbox.node_id), None
+            )
+            if victim is None:
+                return False
+            self._purge(victim, reason="ssd-pressure")
+            if not self._parked_idle(sandbox):
+                return False
         return True
 
     def _unspill_delta(self, sandbox: Sandbox) -> float:
@@ -1082,11 +1056,7 @@ class ClusterController:
 
     def _on_keep_dedup_expiry(self, sandbox: Sandbox) -> None:
         if sandbox.state is SandboxState.DEDUP and sandbox.busy_request_id is None:
-            if (
-                self.tiered_store is not None
-                and not isinstance(sandbox.dedup_table, TemplateDeltaTable)
-                and self._demote_table(sandbox)
-            ):
+            if self.tiered_store is not None and self._demote_table(sandbox):
                 # Dedup-cold: the patch table parks on SSD instead of
                 # dying; the sandbox stays restorable at SSD read cost.
                 return
@@ -1097,55 +1067,45 @@ class ClusterController:
     def _demote_table(self, sandbox: Sandbox) -> bool:
         """Park a DEDUP sandbox's patch table on its node's SSD.
 
-        Returns False when the sandbox is no longer demotable (already
-        cold, or reclaimed by a re-entrant dispatch while we purged cold
-        victims for SSD room) or when the SSD cannot make room.
+        Returns False when the sandbox is not an idle in-DRAM dedup
+        park (a warm victim, a template delta — those spill through
+        :meth:`_spill_delta` — an already-cold table, or one reclaimed
+        by a re-entrant dispatch while cold victims were purged for SSD
+        room) or when the SSD cannot make room.
         """
         store = self.tiered_store
         assert store is not None
-        if sandbox.table_tier is not None:
-            return False
         table = sandbox.dedup_table
-        assert table is not None
-        if isinstance(table, TemplateDeltaTable):
-            # Template deltas demote through the template pool
-            # (:meth:`_spill_delta`), never through the SSD tier.
+        if not self._parked_idle(sandbox) or isinstance(table, TemplateDeltaTable):
             return False
         nbytes = table.retained_full_bytes
         node_id = sandbox.node_id
-        while not store.ssd_fits(node_id, nbytes):
-            # SSD pressure: retire the oldest cold table on this node.
-            victim = next(
-                (s for s in self._cold.values() if s.node_id == node_id), None
-            )
-            if victim is None:
-                return False
-            self._purge(victim, reason="ssd-pressure")
-            if not (
-                sandbox.state is SandboxState.DEDUP
-                and sandbox.busy_request_id is None
-                and sandbox.table_tier is None
-            ):
-                # The purge re-entered the dispatcher and this sandbox
-                # was claimed for a restore meanwhile.
-                return False
+        if not self._make_ssd_room(
+            sandbox, nbytes, lambda n: store.ssd_fits(node_id, n), self._cold
+        ):
+            return False
         cost_ms = store.demote_table(sandbox.sandbox_id, node_id, nbytes)
         self._timers_for(sandbox).cancel_all()
         sandbox.table_tier = StorageTier.LOCAL_SSD
         self.nodes[node_id].recharge_sandbox(sandbox.sandbox_id)
         self._cold[sandbox.sandbox_id] = sandbox
+        self._record_tier_op("demote", "table", StorageTier.LOCAL_SSD, nbytes, cost_ms)
+        self._drain_queue()  # the freed DRAM may admit queued work
+        return True
+
+    def _record_tier_op(
+        self, kind: str, subject: str, tier: StorageTier, nbytes: int, cost_ms: float
+    ) -> None:
         self.metrics.tier_ops.append(
             TierOpRecord(
                 time_ms=self.sim.now,
-                kind="demote",
-                subject="table",
-                tier=StorageTier.LOCAL_SSD.value,
+                kind=kind,
+                subject=subject,
+                tier=tier.value,
                 nbytes=nbytes,
                 cost_ms=cost_ms,
             )
         )
-        self._drain_queue()  # the freed DRAM may admit queued work
-        return True
 
     def _promote_table(self, sandbox: Sandbox) -> float:
         """Read a parked table back from SSD for a restore; returns the
@@ -1160,16 +1120,7 @@ class ClusterController:
         sandbox.table_tier = None
         self.nodes[sandbox.node_id].recharge_sandbox(sandbox.sandbox_id)
         self._cold.pop(sandbox.sandbox_id, None)
-        self.metrics.tier_ops.append(
-            TierOpRecord(
-                time_ms=self.sim.now,
-                kind="promote",
-                subject="table",
-                tier=StorageTier.NODE_DRAM.value,
-                nbytes=nbytes,
-                cost_ms=cost_ms,
-            )
-        )
+        self._record_tier_op("promote", "table", StorageTier.NODE_DRAM, nbytes, cost_ms)
         return cost_ms
 
     def _promote_checkpoints(self, table) -> float:
@@ -1196,15 +1147,8 @@ class ClusterController:
                 continue
             move = store.promote_checkpoint(checkpoint)
             node.recharge_checkpoint(checkpoint.checkpoint_id)
-            self.metrics.tier_ops.append(
-                TierOpRecord(
-                    time_ms=self.sim.now,
-                    kind="promote",
-                    subject="checkpoint",
-                    tier=StorageTier.NODE_DRAM.value,
-                    nbytes=move.nbytes,
-                    cost_ms=move.cost_ms,
-                )
+            self._record_tier_op(
+                "promote", "checkpoint", StorageTier.NODE_DRAM, move.nbytes, move.cost_ms
             )
             total_ms += move.cost_ms
         return total_ms
@@ -1218,16 +1162,7 @@ class ClusterController:
         if move is None:
             return False
         self.nodes[checkpoint.node_id].recharge_checkpoint(checkpoint.checkpoint_id)
-        self.metrics.tier_ops.append(
-            TierOpRecord(
-                time_ms=self.sim.now,
-                kind="demote",
-                subject="checkpoint",
-                tier=move.tier.value,
-                nbytes=move.nbytes,
-                cost_ms=move.cost_ms,
-            )
-        )
+        self._record_tier_op("demote", "checkpoint", move.tier, move.nbytes, move.cost_ms)
         return True
 
     # -------------------------------------------------------------- dedup
@@ -1340,43 +1275,7 @@ class ClusterController:
             sandbox.transition(SandboxState.WARM, self.sim.now)
             self._make_base(sandbox)
             return True
-        started = self.sim.now
-
-        def finish_dedup() -> None:
-            self._pending_dedups.pop(sandbox.sandbox_id, None)
-            sandbox.dedup_table = outcome.table
-            sandbox.image = None
-            sandbox.dedup_count += 1
-            self._end_template_sharing(sandbox)
-            sandbox.transition(SandboxState.DEDUP, self.sim.now)
-            self.basemgr.note_dedup(sandbox.function, +1)
-            if sandbox.function in self.stats:
-                fraction = outcome.table.retained_full_bytes / sandbox.profile.memory_bytes
-                self.stats[sandbox.function].record_retained_fraction(min(1.0, fraction))
-            self.metrics.dedup_ops.append(
-                DedupOpRecord(
-                    function=sandbox.function,
-                    sandbox_id=sandbox.sandbox_id,
-                    started_ms=started,
-                    duration_ms=outcome.timings.total_ms,
-                    lookup_ms=outcome.timings.lookup_ms,
-                    savings_fraction=outcome.table.stats.savings_fraction,
-                    retained_full_bytes=outcome.table.retained_full_bytes,
-                    same_function_pages=outcome.table.stats.same_function_pages,
-                    cross_function_pages=outcome.table.stats.cross_function_pages,
-                    retry_ms=outcome.timings.retry_ms,
-                    retries=outcome.timings.retries,
-                )
-            )
-            timers = self._timers_for(sandbox)
-            timers.keep_dedup = self.sim.after(
-                self.policy.keep_dedup_ms(sandbox.function),
-                lambda: self._on_keep_dedup_expiry(sandbox),
-            )
-            self._drain_queue()  # the freed memory may admit queued work
-
-        timer = self.sim.after(outcome.timings.total_ms, finish_dedup)
-        self._pending_dedups[sandbox.sandbox_id] = (timer, outcome)
+        self._schedule_park(sandbox, outcome, outcome.timings.total_ms)
         return False
 
     def _begin_templatize(self, sandbox: Sandbox) -> bool:
@@ -1389,57 +1288,87 @@ class ClusterController:
         sandbox is untouched, and the caller falls back to the dedup
         rung of the ladder.
         """
-        self._ensure_image(sandbox)
-        agent = self.agents[sandbox.node_id]
-        try:
-            outcome = agent.templatize(sandbox)
-        except (TemplatePoolFull, RetryExhausted):
-            self.metrics.template_pool_rejections += 1
+        outcome = self._templatize(sandbox)
+        if outcome is None:
             return False
-        self._timers_for(sandbox).cancel_all()
-        sandbox.transition(SandboxState.DEDUPING, self.sim.now)
-        started = self.sim.now
-
-        def finish_templatize() -> None:
-            self._pending_dedups.pop(sandbox.sandbox_id, None)
-            self._complete_templatize(sandbox, outcome, started)
-            self._drain_queue()  # the freed memory may admit queued work
-
-        timer = self.sim.after(outcome.duration_ms, finish_templatize)
-        self._pending_dedups[sandbox.sandbox_id] = (timer, outcome)
+        self._schedule_park(sandbox, outcome, outcome.duration_ms)
         return True
 
-    def _complete_templatize(self, sandbox: Sandbox, outcome, started: float) -> None:
-        """Land a finished templatize op: attach the delta, park the
-        sandbox, record the op, and arm the keep-dedup expiry."""
-        sandbox.dedup_table = outcome.table
+    def _templatize(self, sandbox: Sandbox):
+        """Start a template park of a warm sandbox: publish its segments
+        and move it to DEDUPING.  Returns the agent's outcome, or None
+        (sandbox untouched) when the pool rejects the segments."""
+        self._ensure_image(sandbox)
+        try:
+            outcome = self.agents[sandbox.node_id].templatize(sandbox)
+        except (TemplatePoolFull, RetryExhausted):
+            self.metrics.template_pool_rejections += 1
+            return None
+        self._timers_for(sandbox).cancel_all()
+        sandbox.transition(SandboxState.DEDUPING, self.sim.now)
+        return outcome
+
+    def _schedule_park(self, sandbox: Sandbox, outcome, duration_ms: float) -> None:
+        """Land a background dedup or template park after ``duration_ms``
+        (abortable until then, see :meth:`_abort_dedup`)."""
+        started = self.sim.now
+
+        def finish_park() -> None:
+            self._pending_dedups.pop(sandbox.sandbox_id, None)
+            self._land_park(sandbox, outcome, started)
+            self._drain_queue()  # the freed memory may admit queued work
+
+        timer = self.sim.after(duration_ms, finish_park)
+        self._pending_dedups[sandbox.sandbox_id] = (timer, outcome)
+
+    def _land_park(self, sandbox: Sandbox, outcome, started: float) -> None:
+        """Land a finished dedup or template op: attach the table, park
+        the sandbox, record the op, and arm the keep-dedup expiry."""
+        table = outcome.table
+        sandbox.dedup_table = table
         sandbox.image = None
         sandbox.dedup_count += 1
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.DEDUP, self.sim.now)
-        # The base manager stays blind to template parks: they hold
-        # no base references, so they must not skew the D/B rule.
+        if isinstance(table, TemplateDeltaTable):
+            # The base manager stays blind to template parks: they hold
+            # no base references, so they must not skew the D/B rule.
+            self.metrics.template_ops.append(
+                TemplateOpRecord(
+                    function=sandbox.function,
+                    sandbox_id=sandbox.sandbox_id,
+                    started_ms=started,
+                    duration_ms=outcome.duration_ms,
+                    publish_ms=outcome.publish_ms,
+                    segments_created=outcome.segments_created,
+                    segments_shared=outcome.segments_shared,
+                    published_bytes=outcome.published_bytes,
+                    savings_fraction=table.savings_fraction,
+                    retained_full_bytes=table.retained_full_bytes,
+                )
+            )
+        else:
+            self.basemgr.note_dedup(sandbox.function, +1)
+            timings = outcome.timings
+            self.metrics.dedup_ops.append(
+                DedupOpRecord(
+                    function=sandbox.function,
+                    sandbox_id=sandbox.sandbox_id,
+                    started_ms=started,
+                    duration_ms=timings.total_ms,
+                    lookup_ms=timings.lookup_ms,
+                    savings_fraction=table.stats.savings_fraction,
+                    retained_full_bytes=table.retained_full_bytes,
+                    same_function_pages=table.stats.same_function_pages,
+                    cross_function_pages=table.stats.cross_function_pages,
+                    retry_ms=timings.retry_ms,
+                    retries=timings.retries,
+                )
+            )
         if sandbox.function in self.stats:
-            fraction = (
-                outcome.table.retained_full_bytes / sandbox.profile.memory_bytes
-            )
+            fraction = table.retained_full_bytes / sandbox.profile.memory_bytes
             self.stats[sandbox.function].record_retained_fraction(min(1.0, fraction))
-        self.metrics.template_ops.append(
-            TemplateOpRecord(
-                function=sandbox.function,
-                sandbox_id=sandbox.sandbox_id,
-                started_ms=started,
-                duration_ms=outcome.duration_ms,
-                publish_ms=outcome.publish_ms,
-                segments_created=outcome.segments_created,
-                segments_shared=outcome.segments_shared,
-                published_bytes=outcome.published_bytes,
-                savings_fraction=outcome.table.savings_fraction,
-                retained_full_bytes=outcome.table.retained_full_bytes,
-            )
-        )
-        timers = self._timers_for(sandbox)
-        timers.keep_dedup = self.sim.after(
+        self._timers_for(sandbox).keep_dedup = self.sim.after(
             self.policy.keep_dedup_ms(sandbox.function),
             lambda: self._on_keep_dedup_expiry(sandbox),
         )
@@ -1457,6 +1386,24 @@ class ClusterController:
         self.templates.drop_sharers(sandbox.template_share_keys, sandbox.node_id)
         sandbox.template_share_keys = ()
         sandbox.template_cow_bytes = 0
+
+    def _release_parked(self, sandbox: Sandbox, table) -> None:
+        """Release a parked table when it leaves the sandbox (start or
+        purge): the SSD bytes it holds if a rung moved it there, then its
+        references and, for a dedup table, its base-manager census."""
+        if isinstance(table, TemplateDeltaTable):
+            if sandbox.table_tier is not None:
+                self._delta_ssd_account(sandbox.node_id).release(
+                    table.retained_full_bytes
+                )
+                self._spilled.pop(sandbox.sandbox_id, None)
+        else:
+            if sandbox.table_tier is not None:
+                self.tiered_store.release_table(sandbox.sandbox_id)
+                self._cold.pop(sandbox.sandbox_id, None)
+            self.basemgr.note_dedup(sandbox.function, -1)
+        sandbox.table_tier = None
+        self._release_retained(table)
 
     def _release_retained(self, table) -> None:
         """Release whatever a parked table holds references to: catalog
@@ -1607,12 +1554,7 @@ class ClusterController:
             sandbox.dedup_table = None
             sandbox.busy_request_id = None
             sandbox.transition(SandboxState.WARM, self.sim.now)
-            if isinstance(table, TemplateDeltaTable):
-                assert self.templates is not None
-                self.templates.release(table.segment_keys)
-            else:
-                self._release_base_refs(table)
-                self.basemgr.note_dedup(sandbox.function, -1)
+            self._release_parked(sandbox, table)
         elif sandbox.state is SandboxState.RUNNING:
             sandbox.busy_request_id = None
             sandbox.transition(SandboxState.WARM, self.sim.now)
@@ -1741,24 +1683,7 @@ class ClusterController:
                 # op leaves the warm image intact, so exit via WARM.
                 sandbox.transition(SandboxState.WARM, self.sim.now)
         if sandbox.state is SandboxState.DEDUP:
-            assert sandbox.dedup_table is not None
-            if isinstance(sandbox.dedup_table, TemplateDeltaTable):
-                assert self.templates is not None
-                if sandbox.table_tier is not None:
-                    # A spilled delta dies with its sandbox (and its
-                    # node): release the SSD bytes it held.
-                    self._delta_ssd_account(sandbox.node_id).release(
-                        sandbox.dedup_table.retained_full_bytes
-                    )
-                    self._spilled.pop(sandbox.sandbox_id, None)
-                    sandbox.table_tier = None
-                self.templates.release(sandbox.dedup_table.segment_keys)
-            else:
-                self._release_base_refs(sandbox.dedup_table)
-                self.basemgr.note_dedup(sandbox.function, -1)
-                if self.tiered_store is not None:
-                    self.tiered_store.release_table(sandbox.sandbox_id)
-                    self._cold.pop(sandbox.sandbox_id, None)
+            self._release_parked(sandbox, sandbox.dedup_table)
         self._end_template_sharing(sandbox)
         sandbox.transition(SandboxState.PURGED, self.sim.now)
         sandbox.dedup_table = None
