@@ -16,8 +16,6 @@ tables.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.core.policy import MedesPolicyConfig
@@ -48,8 +46,9 @@ def pressure(**features):
 
 def lattice(templates: bool):
     """Every opt-in layer plus a crash and a shard outage (the control
-    plane suite's lattice case) on a 32 MB SSD, so demoted tables and
-    spilled deltas contend for it."""
+    plane suite's lattice case) on a 32 MB SSD, small enough that
+    spilled deltas (templates on) or demoted tables (templates off)
+    purge one another for room."""
     minutes = 6.0
     suite = FunctionBenchSuite.subset(["Vanilla", "LinAlg", "FeatureGen", "RNNModel"])
     names = suite.names()
