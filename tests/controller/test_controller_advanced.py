@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.platform.metrics import StartType
 from repro.platform.platform import PlatformKind, build_platform
 from repro.sandbox.state import SandboxState
 from repro.sim.network import PeerUnavailable
+from repro.templates.delta import TemplateDeltaTable
 from repro.workload.functionbench import FunctionBenchSuite
 from repro.workload.trace import Trace
 
@@ -179,6 +181,37 @@ class TestMultiCandidateDispatch:
         # The broken candidate is gone.
         remaining = platform.controller._function_sandboxes("Vanilla")
         assert len(remaining) == 2
+
+
+class TestStartLadderOrder:
+    def test_forks_outrank_restores_then_most_recent_first(self, pair_suite):
+        """Parked candidates are offered template forks first, then dedup
+        restores, most recently used first within each kind; a cold
+        start after failed parked starts counts as a fallback."""
+        platform = build_platform(
+            PlatformKind.MEDES, config(template_sharing=True), pair_suite, medes=medes()
+        )
+        controller = platform.controller
+        delta = TemplateDeltaTable.__new__(TemplateDeltaTable)
+        dedup = object()
+        parked = [
+            SimpleNamespace(sandbox_id=1, last_used_at=5.0, dedup_table=dedup),
+            SimpleNamespace(sandbox_id=2, last_used_at=1.0, dedup_table=delta),
+            SimpleNamespace(sandbox_id=3, last_used_at=9.0, dedup_table=dedup),
+            SimpleNamespace(sandbox_id=4, last_used_at=3.0, dedup_table=delta),
+            SimpleNamespace(sandbox_id=5, last_used_at=3.0, dedup_table=delta),
+        ]
+        offered = []
+        controller._dispatch_candidates = lambda function: ([], list(parked), [])
+        controller._start_parked = lambda sandbox, request, record: offered.append(
+            sandbox.sandbox_id
+        )
+        controller._start_cold = lambda request, record, desperate=False: True
+        request = Trace.from_arrivals([(0.0, "Vanilla")]).requests[0]
+        record = platform.metrics.on_arrival(request.request_id, request.function, 0.0)
+        assert controller._try_dispatch(request, record)
+        assert offered == [5, 4, 2, 3, 1]
+        assert platform.metrics.restore_cold_fallbacks == 1
 
 
 class TestBaseOpAccounting:
